@@ -30,26 +30,22 @@ odb::LabDbConfig BenchConfig() {
   return config;
 }
 
-/// One "chase": a handful of point reads plus a short batched scan —
-/// the access mix a browse cascade generates.
+/// One "chase": a handful of point reads plus a short batched scan (a
+/// 16-step cursor walk, one lookahead batch) — the access mix a browse
+/// cascade generates.
 void RunChase(odb::Session& session, const std::vector<odb::Oid>& oids) {
   for (size_t i = 0; i < 8 && i < oids.size(); ++i) {
     benchmark::DoNotOptimize(ValueOrDie(session.GetObject(oids[i]), "get"));
   }
-  benchmark::DoNotOptimize(
-      ValueOrDie(session.NextObjectBuffers(oids.front(), 16), "scan"));
+  odb::ObjectCursor cursor(session.database(), "employee");
+  for (int i = 0; i < 16; ++i) {
+    benchmark::DoNotOptimize(ValueOrDie(cursor.Next(), "scan"));
+  }
 }
 
 std::vector<odb::Oid> ChaseOids(odb::Database* db) {
-  std::vector<odb::Oid> oids;
-  odb::Oid at = ValueOrDie(db->FirstObject("employee"), "first");
-  oids.push_back(at);
-  for (int i = 0; i < 15; ++i) {
-    Result<odb::Oid> next = db->NextObject(at);
-    if (!next.ok()) break;
-    at = *next;
-    oids.push_back(at);
-  }
+  std::vector<odb::Oid> oids = ValueOrDie(db->ScanCluster("employee"), "scan");
+  if (oids.size() > 16) oids.resize(16);
   return oids;
 }
 

@@ -30,7 +30,8 @@ inline constexpr int kBenchSchemaVersion = 1;
 /// Stamps provenance into the benchmark JSON "context" section:
 /// schema version, UTC run timestamp, and build type. compare_bench.py
 /// reads `ode_build_type` to warn when a run is compared against a
-/// baseline captured from a different build flavor.
+/// baseline captured from a different build flavor. `ODE_BUILD_TYPE`
+/// is the CMAKE_BUILD_TYPE, defined by bench/CMakeLists.txt.
 inline void StampBenchContext() {
   benchmark::AddCustomContext("ode_bench_schema",
                               std::to_string(kBenchSchemaVersion));
@@ -41,11 +42,7 @@ inline void StampBenchContext() {
     std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
     benchmark::AddCustomContext("ode_run_timestamp_utc", stamp);
   }
-#ifdef NDEBUG
-  benchmark::AddCustomContext("ode_build_type", "Release");
-#else
-  benchmark::AddCustomContext("ode_build_type", "Debug");
-#endif
+  benchmark::AddCustomContext("ode_build_type", ODE_BUILD_TYPE);
 }
 
 /// Aborts the benchmark binary on an unexpected error — benchmarks

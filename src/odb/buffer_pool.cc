@@ -293,13 +293,18 @@ void BufferPool::Prefetch(PageId id) {
   prefetches_->Increment();
   // Capture the caller's causal context so the prefetch fetch spans
   // attach to the scan/cascade that requested them, not to a detached
-  // worker-thread root. The op profile rides along the same way, so
-  // read-ahead I/O is billed to the operation that asked for it.
+  // worker-thread root. The op profile must not ride along: the task
+  // may run after the op has returned, and the profile lives on the
+  // op's stack. The op is billed here, at submit time, for the lookup
+  // the task will make — a miss and a page read, since the page is not
+  // cached now.
+  if (auto* profile = obs::CurrentOpProfile()) {
+    profile->ChargePoolFetch(/*hit=*/false);
+    profile->ChargePagerRead();
+  }
   obs::TraceContext ctx = obs::CurrentTraceContext();
-  obs::OpProfile* profile = obs::CurrentOpProfile();
-  prefetcher_.Submit([this, id, ctx, profile] {
+  prefetcher_.Submit([this, id, ctx] {
     obs::TraceContextScope adopt(ctx);
-    obs::OpProfileScope adopt_profile(profile);
     // Pin briefly with read intent so the page lands in its shard;
     // errors (e.g. a speculative id past the end) are ignored. The
     // fetch never triggers further read-ahead (no cascades).

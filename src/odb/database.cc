@@ -1,6 +1,7 @@
 #include "odb/database.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/coding.h"
 #include "common/journal.h"
@@ -600,69 +601,6 @@ Result<Oid> Database::LastObject(const std::string& class_name) {
   return Oid{info->id, id};
 }
 
-Result<Oid> Database::NextObject(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(oid.cluster));
-  ODE_ASSIGN_OR_RETURN(uint64_t id, heap->NextId(oid.local));
-  return Oid{oid.cluster, id};
-}
-
-Result<Oid> Database::PrevObject(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(oid.cluster));
-  ODE_ASSIGN_OR_RETURN(uint64_t id, heap->PrevId(oid.local));
-  return Oid{oid.cluster, id};
-}
-
-Result<ObjectBuffer> Database::NextObjectBuffer(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(std::vector<ObjectBuffer> batch,
-                       StepObjectBuffers(oid, /*forward=*/true, 1));
-  return std::move(batch.front());
-}
-
-Result<ObjectBuffer> Database::PrevObjectBuffer(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(std::vector<ObjectBuffer> batch,
-                       StepObjectBuffers(oid, /*forward=*/false, 1));
-  return std::move(batch.front());
-}
-
-Result<std::vector<ObjectBuffer>> Database::NextObjectBuffers(Oid oid,
-                                                              size_t limit) {
-  ReaderMutexLock lock(schema_mu_);
-  return StepObjectBuffers(oid, /*forward=*/true, limit);
-}
-
-Result<std::vector<ObjectBuffer>> Database::PrevObjectBuffers(Oid oid,
-                                                              size_t limit) {
-  ReaderMutexLock lock(schema_mu_);
-  return StepObjectBuffers(oid, /*forward=*/false, limit);
-}
-
-Result<std::vector<ObjectBuffer>> Database::StepObjectBuffers(Oid oid,
-                                                              bool forward,
-                                                              size_t limit) {
-  ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
-                       catalog_->FindCluster(oid.cluster));
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(oid.cluster));
-  auto stepped = forward ? heap->NextRecords(oid.local, limit)
-                         : heap->PrevRecords(oid.local, limit);
-  ODE_RETURN_IF_ERROR(stepped.status());
-  std::vector<ObjectBuffer> out;
-  out.reserve(stepped->size());
-  for (auto& [local, bytes] : *stepped) {
-    ODE_ASSIGN_OR_RETURN(ObjectRecord record, DecodeObjectRecord(bytes));
-    ObjectBuffer buffer;
-    buffer.oid = Oid{oid.cluster, local};
-    buffer.class_name = info->class_name;
-    buffer.version = record.version;
-    buffer.value = std::move(record.value);
-    out.push_back(std::move(buffer));
-  }
-  return out;
-}
-
 Result<std::vector<Oid>> Database::ScanCluster(
     const std::string& class_name) {
   ReaderMutexLock lock(schema_mu_);
@@ -732,15 +670,16 @@ Result<exec::ExplainResult> Database::ExplainJoin(
   return exec::ExplainJoin(this, spec, analyze);
 }
 
-Status Database::ScanRawRecords(const std::string& class_name, uint64_t after,
+Status Database::ScanRawRecords(const std::string& class_name,
+                                ScanDirection direction, uint64_t bound,
                                 size_t limit, RawRecordBatch* out) {
   ReaderMutexLock lock(schema_mu_);
   ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
                        catalog_->FindCluster(class_name));
   ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(info->id));
   out->cluster = info->id;
-  Status status =
-      heap->NextRecordsInto(after, limit, &out->arena, &out->records);
+  Status status = heap->ReadRecordsInto(bound, direction, limit, &out->arena,
+                                        &out->records);
   if (status.IsOutOfRange()) return Status::OK();  // exhausted: empty batch
   return status;
 }
@@ -912,38 +851,6 @@ Result<Oid> Session::LastObject(const std::string& class_name) {
   return db_->LastObject(class_name);
 }
 
-Result<Oid> Session::NextObject(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "next_object");
-  return db_->NextObject(oid);
-}
-
-Result<Oid> Session::PrevObject(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "prev_object");
-  return db_->PrevObject(oid);
-}
-
-Result<ObjectBuffer> Session::NextObjectBuffer(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "next_object_buffer");
-  return db_->NextObjectBuffer(oid);
-}
-
-Result<ObjectBuffer> Session::PrevObjectBuffer(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "prev_object_buffer");
-  return db_->PrevObjectBuffer(oid);
-}
-
-Result<std::vector<ObjectBuffer>> Session::NextObjectBuffers(Oid oid,
-                                                             size_t limit) {
-  obs::ProfiledOp op(entry_.get(), "next_object_buffers");
-  return db_->NextObjectBuffers(oid, limit);
-}
-
-Result<std::vector<ObjectBuffer>> Session::PrevObjectBuffers(Oid oid,
-                                                             size_t limit) {
-  obs::ProfiledOp op(entry_.get(), "prev_object_buffers");
-  return db_->PrevObjectBuffers(oid, limit);
-}
-
 Result<std::vector<Oid>> Session::ScanCluster(const std::string& class_name) {
   obs::ProfiledOp op(entry_.get(), "scan_cluster");
   return db_->ScanCluster(class_name);
@@ -994,34 +901,47 @@ Result<ObjectBuffer> ObjectCursor::Step(bool forward) {
 
 Result<ObjectBuffer> ObjectCursor::TakeNext(bool forward,
                                             const std::optional<Oid>& pos) {
-  if (!pos.has_value()) {
-    Result<Oid> edge = forward ? db_->FirstObject(class_name_)
-                               : db_->LastObject(class_name_);
-    if (!edge.ok()) {
-      return Status::OutOfRange("cluster '" + class_name_ + "' is empty");
-    }
-    return db_->GetObject(*edge);
-  }
   uint64_t epoch = db_->mutation_epoch();
-  bool usable = lookahead_pos_ < lookahead_.size() &&
+  bool usable = lookahead_pos_ < lookahead_.records.size() &&
                 lookahead_forward_ == forward && lookahead_epoch_ == epoch &&
                 lookahead_anchor_ == pos;
   if (!usable) {
     // Record the epoch before fetching: a mutation racing the fetch
     // then invalidates the batch on the next step.
-    lookahead_.clear();
     lookahead_pos_ = 0;
     lookahead_epoch_ = epoch;
     lookahead_forward_ = forward;
     lookahead_anchor_ = pos;
-    Result<std::vector<ObjectBuffer>> batch =
-        forward ? db_->NextObjectBuffers(*pos, kCursorLookahead)
-                : db_->PrevObjectBuffers(*pos, kCursorLookahead);
-    if (!batch.ok()) return batch.status();
-    lookahead_ = std::move(*batch);
+    // Without a position the walk starts at the cluster's edge (local
+    // ids start at 1).
+    uint64_t bound = forward ? 0 : std::numeric_limits<uint64_t>::max();
+    if (pos.has_value()) bound = pos->local;
+    Status scanned = db_->ScanRawRecords(
+        class_name_,
+        forward ? ScanDirection::kForward : ScanDirection::kBackward, bound,
+        kCursorLookahead, &lookahead_);
+    if (!scanned.ok()) lookahead_.clear();  // never serve a partial batch
+    if (lookahead_.records.empty()) {
+      if (!pos.has_value()) {
+        return Status::OutOfRange("cluster '" + class_name_ + "' is empty");
+      }
+      ODE_RETURN_IF_ERROR(scanned);
+      return Status::OutOfRange(
+          (forward ? "no object after id " : "no object before id ") +
+          std::to_string(bound));
+    }
   }
-  ObjectBuffer out = std::move(lookahead_[lookahead_pos_]);
+  const HeapFile::RecordSpan& span = lookahead_.records[lookahead_pos_];
+  // ObjectBuffer carries no version history, so the decode skips it.
+  ODE_ASSIGN_OR_RETURN(
+      ProjectedRecord record,
+      DecodeObjectRecordProjected(lookahead_.bytes(span), nullptr));
   ++lookahead_pos_;
+  ObjectBuffer out;
+  out.oid = Oid{lookahead_.cluster, span.local_id};
+  out.class_name = class_name_;
+  out.version = record.version;
+  out.value = std::move(record.value);
   lookahead_anchor_ = out.oid;
   return out;
 }

@@ -56,8 +56,9 @@ struct ObjectBuffer {
 /// One batch from the raw scan primitive: consecutive records of a
 /// cluster, their stored `ObjectRecord` bytes packed back to back in
 /// one arena. The batched executor decodes the spans under a
-/// projection mask instead of materializing full buffers; reusing the
-/// batch across calls makes the raw read allocation-free once warm.
+/// projection mask instead of materializing full buffers, and
+/// `ObjectCursor` decodes one span per step; reusing the batch across
+/// calls makes the raw read allocation-free once warm.
 struct RawRecordBatch {
   ClusterId cluster = 0;
   std::string arena;
@@ -106,8 +107,9 @@ class Session;
 ///
 /// This is the stand-in for the Ode object manager the paper's OdeView
 /// calls into: it materializes stored objects into `ObjectBuffer`s,
-/// sequences through clusters (`first` / `next` / `previous`), filters
-/// with selection predicates, and enforces O++ constraints/triggers.
+/// sequences through clusters (`first` / `next` / `previous`, through
+/// `ObjectCursor`), filters with selection predicates, and enforces
+/// O++ constraints/triggers.
 ///
 /// Thread-safety: object-level operations (create/get/update/delete,
 /// sequencing, scans, selects) may be called from any number of
@@ -195,23 +197,10 @@ class Database {
   Result<ClusterId> ClusterOf(const std::string& class_name) const;
   Result<std::string> ClassOfCluster(ClusterId id) const;
 
+  /// The cluster's first / last object (NotFound when it is empty).
+  /// Stepping from an object to its neighbours is `ObjectCursor`'s job.
   Result<Oid> FirstObject(const std::string& class_name);
   Result<Oid> LastObject(const std::string& class_name);
-  Result<Oid> NextObject(Oid oid);
-  Result<Oid> PrevObject(Oid oid);
-
-  /// Fused step: the full buffer of the object after / before `oid`,
-  /// in one lock round-trip (equivalent to NextObject + GetObject but
-  /// about half the cost — the cursor's hot path).
-  Result<ObjectBuffer> NextObjectBuffer(Oid oid);
-  Result<ObjectBuffer> PrevObjectBuffer(Oid oid);
-
-  /// Batched step: up to `limit` consecutive buffers after / before
-  /// `oid` in one lock round-trip. `ObjectCursor` uses this for its
-  /// read-ahead; the batch reflects the state at call time, so pair it
-  /// with `mutation_epoch()` when staleness matters.
-  Result<std::vector<ObjectBuffer>> NextObjectBuffers(Oid oid, size_t limit);
-  Result<std::vector<ObjectBuffer>> PrevObjectBuffers(Oid oid, size_t limit);
 
   /// Counter bumped by every successful mutation (schema changes and
   /// object create/update/delete). Lets cursors and caches detect that
@@ -249,15 +238,18 @@ class Database {
                                           const Predicate& predicate,
                                           bool analyze);
 
-  /// Raw batched scan primitive for the executor: up to `limit`
-  /// (local id, record bytes) pairs with id greater than `after`, in
-  /// one lock round-trip. An exhausted scan returns an empty batch
-  /// (never OutOfRange). The schema lock is held per call, not across
-  /// the whole scan, so partitions interleave with mutations; callers
-  /// needing a stable snapshot bound the scan by `mutation_epoch()`.
-  /// `*out` is cleared (capacity retained) then refilled, so a looping
-  /// caller reuses the arena instead of reallocating per batch.
-  Status ScanRawRecords(const std::string& class_name, uint64_t after,
+  /// The engine's one sequential read, shared by the batched executor
+  /// and `ObjectCursor`: up to `limit` (local id, record bytes) pairs
+  /// with ids strictly after `bound` in ascending order (`kForward`),
+  /// or strictly before it in descending order (`kBackward`), in one
+  /// lock round-trip. An exhausted scan returns an empty batch (never
+  /// OutOfRange). The schema lock is held per call, not across the
+  /// whole scan, so scans interleave with mutations; callers needing a
+  /// stable snapshot bound the scan by `mutation_epoch()`. `*out` is
+  /// cleared (capacity retained) then refilled, so a looping caller
+  /// reuses the arena instead of reallocating per batch.
+  Status ScanRawRecords(const std::string& class_name,
+                        ScanDirection direction, uint64_t bound,
                         size_t limit, RawRecordBatch* out);
 
   // --- Triggers --------------------------------------------------------
@@ -340,9 +332,6 @@ class Database {
 
   /// Unlocked implementations (callers hold `schema_mu_`).
   Result<ObjectBuffer> GetObjectUnlocked(Oid oid)
-      ODE_REQUIRES_SHARED(schema_mu_);
-  Result<std::vector<ObjectBuffer>> StepObjectBuffers(Oid oid, bool forward,
-                                                      size_t limit)
       ODE_REQUIRES_SHARED(schema_mu_);
   void BumpMutationEpoch() {
     uint64_t epoch =
@@ -470,12 +459,6 @@ class Session {
   Result<uint64_t> ClusterCount(const std::string& class_name);
   Result<Oid> FirstObject(const std::string& class_name);
   Result<Oid> LastObject(const std::string& class_name);
-  Result<Oid> NextObject(Oid oid);
-  Result<Oid> PrevObject(Oid oid);
-  Result<ObjectBuffer> NextObjectBuffer(Oid oid);
-  Result<ObjectBuffer> PrevObjectBuffer(Oid oid);
-  Result<std::vector<ObjectBuffer>> NextObjectBuffers(Oid oid, size_t limit);
-  Result<std::vector<ObjectBuffer>> PrevObjectBuffers(Oid oid, size_t limit);
   Result<std::vector<Oid>> ScanCluster(const std::string& class_name);
   Result<std::vector<Oid>> Select(const std::string& class_name,
                                   const Predicate& predicate);
@@ -499,7 +482,9 @@ class Session {
 
 /// Stateful cursor over one cluster with an optional selection
 /// predicate — the model behind the object-set window's `reset`,
-/// `next`, and `previous` buttons.
+/// `next`, and `previous` buttons, and the engine's only stepping API.
+/// It reads through `Database::ScanRawRecords`, the same batch scan the
+/// executor runs.
 class ObjectCursor {
  public:
   /// Creates a cursor over `class_name`; no object is current until
@@ -548,12 +533,14 @@ class ObjectCursor {
   bool filtered_ = false;
   std::optional<Oid> current_;
 
-  /// Read-ahead of upcoming buffers, fetched one batch per lock
-  /// round-trip. Valid only while the database's mutation epoch is
-  /// unchanged; `lookahead_anchor_` is the position the entry at
-  /// `lookahead_pos_` directly follows. Any mismatch just refetches,
-  /// so observable behaviour is identical to stepping record-by-record.
-  std::vector<ObjectBuffer> lookahead_;
+  /// Read-ahead of upcoming raw records, fetched one batch per lock
+  /// round-trip into an arena reused across batches and decoded one
+  /// step at a time. Valid only while the database's mutation epoch
+  /// is unchanged; `lookahead_anchor_` is the position the record at
+  /// `lookahead_pos_` directly follows (empty: the cluster's edge). Any
+  /// mismatch just refetches, so observable behaviour is identical to
+  /// stepping record-by-record.
+  RawRecordBatch lookahead_;
   size_t lookahead_pos_ = 0;
   std::optional<Oid> lookahead_anchor_;
   bool lookahead_forward_ = true;

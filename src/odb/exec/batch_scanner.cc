@@ -19,8 +19,8 @@ BatchScanner::BatchScanner(Database* db, std::string class_name,
 Result<bool> BatchScanner::Next(RowBatch* batch) {
   batch->clear();
   if (done_) return false;
-  ODE_RETURN_IF_ERROR(
-      db_->ScanRawRecords(class_name_, cursor_, batch_size_, &raw_));
+  ODE_RETURN_IF_ERROR(db_->ScanRawRecords(class_name_, ScanDirection::kForward,
+                                          cursor_, batch_size_, &raw_));
   if (raw_.records.empty()) {
     done_ = true;
     return false;

@@ -1,5 +1,6 @@
 #include "odb/heap_file.h"
 
+#include <iterator>
 #include <set>
 
 #include "common/coding.h"
@@ -13,14 +14,9 @@ namespace ode::odb {
 namespace {
 
 // Shared heap-layer instruments: scans over the full directory,
-// single-step sequential moves, records served by the batch paths,
-// and the three mutation kinds.
+// records served by the batch reader, and the three mutation kinds.
 obs::Counter& HeapScans() {
   static obs::Counter* c = obs::Registry::Global().counter("heap.scans");
-  return *c;
-}
-obs::Counter& HeapSeqSteps() {
-  static obs::Counter* c = obs::Registry::Global().counter("heap.seq_steps");
   return *c;
 }
 obs::Counter& HeapBatchRecords() {
@@ -243,16 +239,10 @@ Result<std::string> HeapFile::GetLocked(uint64_t local_id) const {
   ChargeAccess(obs::AccessOp::kGet, local_id, it->second.page);
   PageHandle handle;
   PageId held = kNoPage;
-  return ReadRecordLocked(local_id, it->second, &handle, &held);
-}
-
-Result<std::string> HeapFile::ReadRecordLocked(uint64_t local_id,
-                                               const Location& loc,
-                                               PageHandle* handle,
-                                               PageId* held) const {
   std::string payload;
   ODE_RETURN_IF_ERROR(
-      AppendRecordLocked(local_id, loc, handle, held, &payload).status());
+      AppendRecordLocked(local_id, it->second, &handle, &held, &payload)
+          .status());
   return payload;
 }
 
@@ -384,100 +374,14 @@ Result<uint64_t> HeapFile::LastId() const {
   return directory_.rbegin()->first;
 }
 
-Result<uint64_t> HeapFile::NextId(uint64_t after) const {
-  ReaderMutexLock lock(*mu_);
-  return NextIdLocked(after);
-}
-
-Result<uint64_t> HeapFile::NextIdLocked(uint64_t after) const {
-  auto it = directory_.upper_bound(after);
-  if (it == directory_.end()) {
-    return Status::OutOfRange("no object after id " + std::to_string(after));
-  }
-  // Read-ahead: while the caller materializes `it`, warm the page the
-  // *following* record lives on — the page `next` will need next.
-  // Sequencing is the control panel's next/previous button, an
-  // explicitly sequential walk, so it is not a point lookup.
-  auto follow = std::next(it);
-  if (follow != directory_.end() &&
-      follow->second.page != it->second.page) {
-    pool_->ReadAhead(follow->second.page, /*point_lookup=*/false);
-  }
-  HeapSeqSteps().Increment();
-  return it->first;
-}
-
-Result<uint64_t> HeapFile::PrevId(uint64_t before) const {
-  ReaderMutexLock lock(*mu_);
-  return PrevIdLocked(before);
-}
-
-Result<uint64_t> HeapFile::PrevIdLocked(uint64_t before) const {
-  auto it = directory_.lower_bound(before);
-  if (it == directory_.begin()) {
-    return Status::OutOfRange("no object before id " +
-                              std::to_string(before));
-  }
-  --it;
-  if (it != directory_.begin()) {
-    auto follow = std::prev(it);
-    if (follow->second.page != it->second.page) {
-      pool_->ReadAhead(follow->second.page, /*point_lookup=*/false);
-    }
-  }
-  HeapSeqSteps().Increment();
-  return it->first;
-}
-
-Result<std::vector<std::pair<uint64_t, std::string>>> HeapFile::NextRecords(
-    uint64_t after, size_t limit) const {
-  ODE_TRACE_SPAN("heap.batch_read");
-  ReaderMutexLock lock(*mu_);
-  auto it = directory_.upper_bound(after);
-  if (it == directory_.end()) {
-    return Status::OutOfRange("no object after id " + std::to_string(after));
-  }
-  std::vector<std::pair<uint64_t, std::string>> out;
-  out.reserve(limit);
-  PageHandle handle;
-  PageId held = kNoPage;
-  for (; it != directory_.end() && out.size() < limit; ++it) {
-    ChargeAccess(obs::AccessOp::kScan, it->first, it->second.page);
-    ODE_ASSIGN_OR_RETURN(
-        std::string payload,
-        ReadRecordLocked(it->first, it->second, &handle, &held));
-    out.emplace_back(it->first, std::move(payload));
-  }
-  // Read-ahead: warm the page the record after the batch lives on. A
-  // limit-1 batch is a point lookup (the browse cascade's fused step),
-  // not a scan — the policy keeps those out of the prefetch queue.
-  if (it != directory_.end() && it->second.page != held) {
-    pool_->ReadAhead(it->second.page, /*point_lookup=*/limit == 1);
-  }
-  HeapBatchRecords().Add(out.size());
-  if (auto* profile = obs::CurrentOpProfile()) {
-    size_t bytes = 0;
-    for (const auto& [id, payload] : out) bytes += payload.size();
-    profile->ChargeHeapBatch(out.size(), bytes);
-  }
-  return out;
-}
-
-Status HeapFile::NextRecordsInto(uint64_t after, size_t limit,
-                                 std::string* arena,
-                                 std::vector<RecordSpan>* spans) const {
-  ODE_TRACE_SPAN("heap.batch_read");
-  arena->clear();
-  spans->clear();
-  ReaderMutexLock lock(*mu_);
-  auto it = directory_.upper_bound(after);
-  if (it == directory_.end()) {
-    return Status::OutOfRange("no object after id " + std::to_string(after));
-  }
+template <typename Iter>
+Status HeapFile::ReadRunLocked(Iter it, Iter end, size_t limit,
+                               std::string* arena,
+                               std::vector<RecordSpan>* spans) const {
   spans->reserve(limit);
   PageHandle handle;
   PageId held = kNoPage;
-  for (; it != directory_.end() && spans->size() < limit; ++it) {
+  for (; it != end && spans->size() < limit; ++it) {
     ChargeAccess(obs::AccessOp::kScan, it->first, it->second.page);
     size_t offset = arena->size();
     ODE_ASSIGN_OR_RETURN(
@@ -485,9 +389,10 @@ Status HeapFile::NextRecordsInto(uint64_t after, size_t limit,
         AppendRecordLocked(it->first, it->second, &handle, &held, arena));
     spans->push_back(RecordSpan{it->first, offset, length});
   }
-  // Read-ahead: warm the page the record after the batch lives on
-  // (limit-1 batches are point lookups; see NextRecords).
-  if (it != directory_.end() && it->second.page != held) {
+  // The heap's one read-ahead site: warm the page the record after the
+  // batch lives on. A limit-1 batch is a point lookup, not a scan — the
+  // policy keeps those out of the prefetch queue.
+  if (it != end && it->second.page != held) {
     pool_->ReadAhead(it->second.page, /*point_lookup=*/limit == 1);
   }
   HeapBatchRecords().Add(spans->size());
@@ -497,40 +402,29 @@ Status HeapFile::NextRecordsInto(uint64_t after, size_t limit,
   return Status::OK();
 }
 
-Result<std::vector<std::pair<uint64_t, std::string>>> HeapFile::PrevRecords(
-    uint64_t before, size_t limit) const {
+Status HeapFile::ReadRecordsInto(uint64_t bound, ScanDirection direction,
+                                 size_t limit, std::string* arena,
+                                 std::vector<RecordSpan>* spans) const {
   ODE_TRACE_SPAN("heap.batch_read");
+  arena->clear();
+  spans->clear();
   ReaderMutexLock lock(*mu_);
-  auto it = directory_.lower_bound(before);
-  if (it == directory_.begin()) {
-    return Status::OutOfRange("no object before id " +
-                              std::to_string(before));
-  }
-  std::vector<std::pair<uint64_t, std::string>> out;
-  out.reserve(limit);
-  PageHandle handle;
-  PageId held = kNoPage;
-  while (it != directory_.begin() && out.size() < limit) {
-    --it;
-    ChargeAccess(obs::AccessOp::kScan, it->first, it->second.page);
-    ODE_ASSIGN_OR_RETURN(
-        std::string payload,
-        ReadRecordLocked(it->first, it->second, &handle, &held));
-    out.emplace_back(it->first, std::move(payload));
-  }
-  if (it != directory_.begin()) {
-    auto follow = std::prev(it);
-    if (follow->second.page != held) {
-      pool_->ReadAhead(follow->second.page, /*point_lookup=*/limit == 1);
+  if (direction == ScanDirection::kForward) {
+    auto it = directory_.upper_bound(bound);
+    if (it == directory_.end()) {
+      return Status::OutOfRange("no object after id " +
+                                std::to_string(bound));
     }
+    return ReadRunLocked(it, directory_.end(), limit, arena, spans);
   }
-  HeapBatchRecords().Add(out.size());
-  if (auto* profile = obs::CurrentOpProfile()) {
-    size_t bytes = 0;
-    for (const auto& [id, payload] : out) bytes += payload.size();
-    profile->ChargeHeapBatch(out.size(), bytes);
+  // The reverse iterator built from lower_bound(bound) dereferences to
+  // the last record before `bound`.
+  auto it = std::make_reverse_iterator(directory_.lower_bound(bound));
+  if (it == directory_.rend()) {
+    return Status::OutOfRange("no object before id " +
+                              std::to_string(bound));
   }
-  return out;
+  return ReadRunLocked(it, directory_.rend(), limit, arena, spans);
 }
 
 Result<std::vector<HeapFile::Placement>> HeapFile::RecordPlacements() const {

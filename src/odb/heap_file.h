@@ -20,6 +20,9 @@
 
 namespace ode::odb {
 
+/// Walk order of a sequential read: ascending or descending id.
+enum class ScanDirection : uint8_t { kForward, kBackward };
+
 /// A chain of slotted pages storing the records of one cluster.
 ///
 /// Records are keyed by a 64-bit logical id (the `Oid::local` part).
@@ -38,9 +41,9 @@ namespace ode::odb {
 /// lock — lookups and sequencing run shared (concurrent scans proceed
 /// in parallel), mutations run exclusive. Page content is additionally
 /// protected by the buffer pool's per-frame latches, so several heaps
-/// sharing one pool are safe too. Sequencing (`NextId` / `PrevId`)
-/// schedules the following heap page on the pool's prefetch thread,
-/// accelerating `reset`/`next`/`previous` control-panel traffic.
+/// sharing one pool are safe too. The batch reader (`ReadRecordsInto`)
+/// schedules the page of the record after each batch on the pool's
+/// prefetch thread when it is not the page the batch ended on.
 class HeapFile {
  public:
   /// Physical address of a record.
@@ -50,7 +53,7 @@ class HeapFile {
   };
 
   /// One record's payload inside a caller-supplied arena (see
-  /// `NextRecordsInto`).
+  /// `ReadRecordsInto`).
   struct RecordSpan {
     uint64_t local_id = 0;
     size_t offset = 0;
@@ -97,31 +100,20 @@ class HeapFile {
 
   bool Contains(uint64_t local_id) const;
 
-  /// Sequencing in ascending-id order; all fail with NotFound on an
-  /// empty heap / OutOfRange past either end.
+  /// The cluster's edges; NotFound on an empty heap.
   Result<uint64_t> FirstId() const;
   Result<uint64_t> LastId() const;
-  Result<uint64_t> NextId(uint64_t after) const;
-  Result<uint64_t> PrevId(uint64_t before) const;
 
-  /// Fused sequencing + fetch: up to `limit` (id, payload) pairs
-  /// following `after` (ascending) / preceding `before` (descending),
-  /// under a single lock round-trip. Consecutive records on one page
-  /// share a single pool fetch, so a batched scan costs a fraction of
-  /// the equivalent NextId/PrevId + Get sequence. Fails with
-  /// OutOfRange when no record exists past the bound.
-  Result<std::vector<std::pair<uint64_t, std::string>>> NextRecords(
-      uint64_t after, size_t limit) const;
-  Result<std::vector<std::pair<uint64_t, std::string>>> PrevRecords(
-      uint64_t before, size_t limit) const;
-
-  /// Allocation-free variant of `NextRecords` for the batched
-  /// executor: payloads are appended to `*arena` back to back and
-  /// described by spans, so a warm caller that reuses the arena pays
-  /// zero heap allocations per batch instead of one per record. Both
-  /// outputs are cleared first (capacity retained). Same OutOfRange
-  /// contract as `NextRecords`.
-  Status NextRecordsInto(uint64_t after, size_t limit, std::string* arena,
+  /// The heap's one sequential reader: up to `limit` records with ids
+  /// strictly after `bound` in ascending order (`kForward`), or strictly
+  /// before it in descending order (`kBackward`), under a single lock
+  /// round-trip. Consecutive records on one page share a single pool
+  /// fetch. Payloads are appended to `*arena` back to back and
+  /// described by `*spans`; both are cleared first (capacity retained),
+  /// so a warm caller that reuses them pays zero heap allocations per
+  /// batch. Fails with OutOfRange when no record lies past `bound`.
+  Status ReadRecordsInto(uint64_t bound, ScanDirection direction,
+                         size_t limit, std::string* arena,
                          std::vector<RecordSpan>* spans) const;
 
   /// All ids in ascending order (for tests and bulk operations).
@@ -172,22 +164,18 @@ class HeapFile {
 
   Status ScanChain() ODE_REQUIRES(*mu_);
   /// Unlocked implementations; callers hold `mu_` as noted.
-  Result<uint64_t> NextIdLocked(uint64_t after) const
-      ODE_REQUIRES_SHARED(*mu_);
-  Result<uint64_t> PrevIdLocked(uint64_t before) const
-      ODE_REQUIRES_SHARED(*mu_);
   Result<std::string> GetLocked(uint64_t local_id) const
       ODE_REQUIRES_SHARED(*mu_);
-  /// Reads one record, reusing `*handle` when the record lives on the
-  /// page already held (`*held`); releases the handle before chasing
-  /// an overflow chain so at most one page is latched at a time.
-  Result<std::string> ReadRecordLocked(uint64_t local_id,
-                                       const Location& loc,
-                                       PageHandle* handle,
-                                       PageId* held) const
+  /// `ReadRecordsInto` over directory entries [`it`, `end`), in
+  /// iterator order (a reverse iterator walks backward).
+  template <typename Iter>
+  Status ReadRunLocked(Iter it, Iter end, size_t limit, std::string* arena,
+                       std::vector<RecordSpan>* spans) const
       ODE_REQUIRES_SHARED(*mu_);
-  /// `ReadRecordLocked` into an arena: appends the payload to `*arena`
-  /// and returns its length, avoiding a per-record string.
+  /// Reads one record, appending its payload to `*arena` and returning
+  /// its length; reuses `*handle` when the record lives on the page
+  /// already held (`*held`), and releases the handle before chasing an
+  /// overflow chain so at most one page is latched at a time.
   Result<size_t> AppendRecordLocked(uint64_t local_id, const Location& loc,
                                     PageHandle* handle, PageId* held,
                                     std::string* arena) const

@@ -35,6 +35,7 @@ namespace {
 
 using odb::Database;
 using odb::ObjectBuffer;
+using odb::ObjectCursor;
 using odb::Oid;
 using odb::Session;
 using odb::Value;
@@ -435,12 +436,12 @@ TEST(AccessChargeTest, BatchedScansChargeScanEvents) {
             .ok());
   }
   log.Start();
-  ASSERT_TRUE(db->ClusterOf("person").ok());
-  Oid anchor{*db->ClusterOf("person"), 0};
-  Result<std::vector<ObjectBuffer>> batch =
-      session.NextObjectBuffers(anchor, 6);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->size(), 6u);
+  // The cursor reads through the batched raw scan: one kScan per
+  // record, however many steps each lookahead batch serves.
+  ObjectCursor cursor(db.get(), "person");
+  size_t steps = 0;
+  while (cursor.Next().ok()) ++steps;
+  EXPECT_EQ(steps, 6u);
   AccessProfile profile = log.SnapshotProfile();
   bool found = false;
   for (const ClassHeat& heat : profile.classes) {
@@ -486,9 +487,12 @@ TEST(AccessReplayTest, ReplayReproducesClassCountsAndPageHeat) {
         ASSERT_TRUE(session.GetObject(people[i]).ok());
       }
     }
-    // One batched scan over the cluster.
-    Oid anchor{*db->ClusterOf("person"), 0};
-    ASSERT_TRUE(session.NextObjectBuffers(anchor, people.size()).ok());
+    // One batched scan over the cluster: a cursor walk, one lookahead
+    // batch.
+    ObjectCursor cursor(db.get(), "person");
+    size_t steps = 0;
+    while (cursor.Next().ok()) ++steps;
+    ASSERT_EQ(steps, people.size());
   }
   Result<uint64_t> written = log.StopCapture();
   ASSERT_TRUE(written.ok());

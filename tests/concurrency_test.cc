@@ -237,13 +237,17 @@ TEST(HeapConcurrencyTest, ConcurrentScansDuringInserts) {
   for (std::thread& r : readers) r.join();
 
   EXPECT_EQ(heap.count(), kRecords);
-  // Full sequencing pass over the final heap.
-  Result<uint64_t> id = heap.FirstId();
+  // Full sequencing pass over the final heap, one record per read.
+  std::string arena;
+  std::vector<HeapFile::RecordSpan> spans;
+  uint64_t at = 0;
   uint64_t seen = 0;
-  while (id.ok()) {
+  while (heap.ReadRecordsInto(at, ScanDirection::kForward, 1, &arena, &spans)
+             .ok()) {
     ++seen;
-    EXPECT_EQ(*heap.Get(*id), PayloadFor(*id));
-    id = heap.NextId(*id);
+    at = spans.front().local_id;
+    EXPECT_EQ(arena, PayloadFor(at));
+    EXPECT_EQ(*heap.Get(at), PayloadFor(at));
   }
   EXPECT_EQ(seen, kRecords);
 }
@@ -385,19 +389,36 @@ TEST(PrefetchTest, HeapSequencingSchedulesReadAhead) {
   FreeList free_list(&pool, kNoPage);
   HeapFile heap = std::move(*HeapFile::Create(&pool, &free_list));
 
-  // Enough records that the heap far outgrows the pool, so NextId's
-  // read-ahead targets are genuinely cold.
+  // Enough records that the heap far outgrows the pool, so the batch
+  // reader's read-ahead targets are genuinely cold.
   constexpr uint64_t kRecords = 2000;
   for (uint64_t id = 1; id <= kRecords; ++id) {
     ASSERT_TRUE(heap.Insert(id, PayloadFor(id)).ok());
   }
   ASSERT_GT(*heap.PageCount(), 8u);
 
-  Result<uint64_t> id = heap.FirstId();
-  while (id.ok()) id = heap.NextId(*id);
+  // Cursor-sized batches, forward then backward: each direction warms
+  // the page past its batch.
+  std::string arena;
+  std::vector<HeapFile::RecordSpan> spans;
+  uint64_t at = 0;
+  while (heap.ReadRecordsInto(at, ScanDirection::kForward, 16, &arena, &spans)
+             .ok()) {
+    at = spans.back().local_id;
+  }
   pool.WaitForPrefetches();
-  EXPECT_GT(pool.stats().prefetches, 0u)
+  const uint64_t forward = pool.stats().prefetches;
+  EXPECT_GT(forward, 0u)
       << "sequencing a multi-page heap should schedule read-ahead";
+  at = kRecords + 1;
+  while (heap.ReadRecordsInto(at, ScanDirection::kBackward, 16, &arena,
+                              &spans)
+             .ok()) {
+    at = spans.back().local_id;
+  }
+  pool.WaitForPrefetches();
+  EXPECT_GT(pool.stats().prefetches, forward)
+      << "sequencing backward should schedule read-ahead too";
 }
 
 // --- Scaling smoke test ------------------------------------------------

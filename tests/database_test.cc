@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <set>
 #include <gtest/gtest.h>
 
 #include "odb/database.h"
@@ -293,9 +294,13 @@ TEST(DatabaseTest, SequencingWalksCreationOrder) {
   }
   EXPECT_EQ(*db->FirstObject("person"), oids.front());
   EXPECT_EQ(*db->LastObject("person"), oids.back());
-  EXPECT_EQ(*db->NextObject(oids[1]), oids[2]);
-  EXPECT_EQ(*db->PrevObject(oids[1]), oids[0]);
-  EXPECT_TRUE(db->NextObject(oids.back()).status().IsOutOfRange());
+  ObjectCursor cursor(db.get(), "person");
+  ASSERT_TRUE(cursor.Seek(oids[1]).ok());
+  EXPECT_EQ(cursor.Next()->oid, oids[2]);
+  ASSERT_TRUE(cursor.Seek(oids[1]).ok());
+  EXPECT_EQ(cursor.Prev()->oid, oids[0]);
+  ASSERT_TRUE(cursor.Seek(oids.back()).ok());
+  EXPECT_TRUE(cursor.Next().status().IsOutOfRange());
   EXPECT_EQ(db->ScanCluster("person")->size(), 5u);
 }
 
@@ -325,6 +330,95 @@ TEST(DatabaseTest, FilteredCursorSkipsNonMatching) {
   EXPECT_EQ(cursor.Next()->value.FindField("age")->AsInt(), 7);
   EXPECT_EQ(cursor.Prev()->value.FindField("age")->AsInt(), 6);
   EXPECT_TRUE(cursor.Prev().status().IsOutOfRange());
+}
+
+// The cursor against the engine's two other read paths, over a
+// cluster that spans several pages and many lookahead batches, with
+// deleted-id holes and one record on an overflow chain: both
+// directions, unfiltered and filtered, must visit exactly ScanCluster's
+// ids in order, each with GetObject's buffer; and a mid-walk update
+// must show on the very next step.
+TEST(DatabaseTest, CursorWalksAgreeWithScanAndGetAcrossPages) {
+  auto db = TinyDb();
+  std::vector<Oid> created;
+  for (int i = 0; i < 160; ++i) {
+    created.push_back(*db->CreateObject(
+        "person",
+        Person("p" + std::to_string(i) + std::string(60, '.'), i % 50)));
+  }
+  // Holes: a run longer than one lookahead batch, plus scattered ids.
+  for (int i = 20; i < 40; ++i) ASSERT_TRUE(db->DeleteObject(created[i]).ok());
+  for (int i = 45; i < 160; i += 9) {
+    ASSERT_TRUE(db->DeleteObject(created[i]).ok());
+  }
+  // One record far larger than a page.
+  Value hub = Person("hub", 44);
+  std::vector<Value>& friends =
+      hub.FindMutableField("friends")->mutable_elements();
+  for (int i = 0; i < 2000; ++i) {
+    friends.push_back(Value::Ref(created[i % 20], "person"));
+  }
+  ASSERT_TRUE(db->UpdateObject(created[100], hub).ok());
+
+  std::vector<Oid> all = *db->ScanCluster("person");
+  ASSERT_GE(all.size(), 100u);
+  std::vector<HeapFile::Placement> placements =
+      *db->ClusterPlacements("person");
+  std::set<PageId> pages;
+  for (const HeapFile::Placement& p : placements) pages.insert(p.page);
+  ASSERT_GE(pages.size(), 3u);
+
+  // Steps until OutOfRange, checking each buffer against GetObject.
+  auto walk = [&db](ObjectCursor& cursor, bool forward) {
+    std::vector<Oid> seen;
+    while (true) {
+      Result<ObjectBuffer> step = forward ? cursor.Next() : cursor.Prev();
+      if (!step.ok()) {
+        EXPECT_TRUE(step.status().IsOutOfRange()) << step.status().ToString();
+        break;
+      }
+      ObjectBuffer expected = *db->GetObject(step->oid);
+      EXPECT_EQ(step->class_name, expected.class_name);
+      EXPECT_EQ(step->version, expected.version);
+      EXPECT_EQ(step->value, expected.value) << step->oid.ToString();
+      seen.push_back(step->oid);
+    }
+    return seen;
+  };
+  auto check_both_ways = [&walk](ObjectCursor& cursor,
+                                 const std::vector<Oid>& expected) {
+    ASSERT_GE(expected.size(), 2u);
+    EXPECT_EQ(walk(cursor, /*forward=*/true), expected);
+    EXPECT_EQ(*cursor.Current(), expected.back());  // position kept
+    std::vector<Oid> back(expected.rbegin() + 1, expected.rend());
+    EXPECT_EQ(walk(cursor, /*forward=*/false), back);
+    EXPECT_EQ(*cursor.Current(), expected.front());
+  };
+
+  ObjectCursor all_cursor(db.get(), "person");
+  check_both_ways(all_cursor, all);
+
+  Predicate older = *ParsePredicate("age >= 30");
+  std::vector<Oid> matching;
+  for (Oid oid : all) {
+    if (db->GetObject(oid)->value.FindField("age")->AsInt() >= 30) {
+      matching.push_back(oid);
+    }
+  }
+  ASSERT_LT(matching.size(), all.size());
+  ObjectCursor filtered(db.get(), "person", older);
+  check_both_ways(filtered, matching);
+
+  // The lookahead already holds the next record's old bytes; the
+  // update's epoch bump must make the cursor refetch.
+  ObjectCursor stepping(db.get(), "person");
+  for (size_t i = 0; i < 40; ++i) ASSERT_EQ(stepping.Next()->oid, all[i]);
+  ASSERT_TRUE(db->UpdateObject(all[40], Person("renamed", 7)).ok());
+  Result<ObjectBuffer> after_update = stepping.Next();
+  ASSERT_TRUE(after_update.ok());
+  EXPECT_EQ(after_update->oid, all[40]);
+  EXPECT_EQ(after_update->value.FindField("name")->AsString(), "renamed");
+  EXPECT_EQ(after_update->value, db->GetObject(all[40])->value);
 }
 
 TEST(DatabaseTest, SelectFiltersCluster) {

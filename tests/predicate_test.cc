@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "odb/predicate.h"
 
 namespace ode::odb {
@@ -160,9 +162,16 @@ TEST(PredicateTest, AttributePathsCollected) {
 // --- Parser -----------------------------------------------------------------
 
 struct ParseCase {
+  const char* name;
   const char* text;
   bool expected;  // against Employee("rakesh", 35, 90000.5)
 };
+
+// gtest_discover_tests names each case after its printed parameter. The
+// default printer dumps the struct's bytes, address of `text` included,
+// so the ctest names would change from one run to the next; print the
+// fixed case name instead.
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.name; }
 
 class PredicateParseEval : public ::testing::TestWithParam<ParseCase> {};
 
@@ -178,26 +187,28 @@ TEST_P(PredicateParseEval, EvaluatesAsExpected) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, PredicateParseEval,
     ::testing::Values(
-        ParseCase{"age == 35", true},
-        ParseCase{"age = 35", true},  // QBE-friendly single '='
-        ParseCase{"age != 35", false},
-        ParseCase{"age >= 35 && age <= 35", true},
-        ParseCase{"age < 35 || age > 34", true},
-        ParseCase{"!(age < 35) && !(age > 35)", true},
-        ParseCase{"name == \"rakesh\"", true},
-        ParseCase{"name contains \"ake\"", true},
-        ParseCase{"name contains \"xyz\"", false},
-        ParseCase{"tags contains \"db\"", true},
-        ParseCase{"dept.name == \"research\"", true},
-        ParseCase{"salary > 90000", true},
-        ParseCase{"salary > 9.5e4", false},
-        ParseCase{"active == true", true},
-        ParseCase{"active != false", true},
-        ParseCase{"age > -100", true},
-        ParseCase{"35 == age", true},  // literal on the left
-        ParseCase{"age > 30 && name == \"rakesh\" && salary < 100000",
-                  true},
-        ParseCase{"", true}));  // empty condition box = everything
+        ParseCase{"AgeEq", "age == 35", true},
+        // QBE-friendly single '='
+        ParseCase{"AgeSingleEquals", "age = 35", true},
+        ParseCase{"AgeNe", "age != 35", false},
+        ParseCase{"AgeClosedRange", "age >= 35 && age <= 35", true},
+        ParseCase{"AgeEitherSide", "age < 35 || age > 34", true},
+        ParseCase{"NegatedBounds", "!(age < 35) && !(age > 35)", true},
+        ParseCase{"NameEq", "name == \"rakesh\"", true},
+        ParseCase{"NameContains", "name contains \"ake\"", true},
+        ParseCase{"NameLacks", "name contains \"xyz\"", false},
+        ParseCase{"SetContains", "tags contains \"db\"", true},
+        ParseCase{"PathEq", "dept.name == \"research\"", true},
+        ParseCase{"SalaryGt", "salary > 90000", true},
+        ParseCase{"SalaryGtExponent", "salary > 9.5e4", false},
+        ParseCase{"BoolEqTrue", "active == true", true},
+        ParseCase{"BoolNeFalse", "active != false", true},
+        ParseCase{"NegativeLiteral", "age > -100", true},
+        ParseCase{"LiteralOnLeft", "35 == age", true},
+        ParseCase{"ThreeWayAnd",
+                  "age > 30 && name == \"rakesh\" && salary < 100000", true},
+        // An empty condition box matches everything.
+        ParseCase{"EmptyIsTrue", "", true}));
 
 TEST(PredicateParserTest, ErrorsAreDescriptive) {
   EXPECT_FALSE(ParsePredicate("age >").ok());

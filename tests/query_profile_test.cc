@@ -360,6 +360,98 @@ TEST_F(QueryProfileSuite, ProfileAgreesWithGlobalCounters) {
   EXPECT_EQ(after - before, s.pool_lookups);
 }
 
+// Sequential read-ahead runs on the pool's prefetch thread and may
+// finish after the scan that asked for it has returned. Its fetch must
+// then touch nothing of that op: the op's profile lives on the op's
+// stack. The test parks the prefetch thread so every read-ahead a
+// Select issues runs only after the Select returned, then checks that
+// the session was still billed for exactly the pool lookups made. Under
+// ASan with detect_stack_use_after_return=1 (tests/CMakeLists.txt
+// registers that run) a late write into the returned op's profile is
+// reported as a stack-use-after-return.
+TEST(PrefetchProfileTest, LateReadAheadBillsTheOpWithoutOutlivingIt) {
+  DatabaseOptions options;
+  options.buffer_pool_pages = 16;
+  auto db = std::move(*Database::CreateInMemory("wide", options));
+  ASSERT_TRUE(db->DefineSchema("persistent class side { public: int n; };"
+                               "persistent class wide {"
+                               " public: int n; string pad; };")
+                  .ok());
+  ASSERT_TRUE(
+      db->CreateObject("side", Value::Struct({{"n", Value::Int(0)}})).ok());
+  const PageId side_page = (*db->ClusterPlacements("side")).front().page;
+  // One record per page, so the page after each 1024-record scan batch
+  // is cold and the batch reader schedules it on the prefetch thread.
+  const std::string pad(2500, '.');
+  for (int i = 0; i < 1100; ++i) {
+    ASSERT_TRUE(db->CreateObject("wide", Value::Struct({
+                                             {"n", Value::Int(i)},
+                                             {"pad", Value::String(pad)},
+                                         }))
+                    .ok());
+  }
+  BufferPool* pool = db->buffer_pool();
+  pool->SetReadAheadPolicy(ReadAheadPolicy::kSequential);
+  Session session = db->OpenSession();
+  Predicate predicate = *ParsePredicate("n >= 100");
+  auto select = [&] {
+    Result<std::vector<Oid>> selected = session.Select("wide", predicate);
+    ASSERT_TRUE(selected.ok());
+    EXPECT_EQ(selected->size(), 1000u);
+  };
+
+  // Park the prefetch thread: a helper queues a read-ahead of the cold
+  // side page and takes that page's exclusive latch before the prefetch
+  // thread gets to it. The queued fetch then waits on the latch, and
+  // every read-ahead queued behind it waits too. Retried when the
+  // prefetch thread wins the race and loads the page itself.
+  enum : int { kStarting, kParked, kLostRace };
+  std::atomic<int> state{kStarting};
+  std::atomic<bool> release{false};
+  std::thread holder;
+  for (int attempt = 0; attempt < 20 && state != kParked; ++attempt) {
+    select();  // evicts the side page
+    pool->WaitForPrefetches();
+    ASSERT_FALSE(pool->Cached(side_page));
+    const uint64_t lookups = pool->stats().lookups;
+    state = kStarting;
+    holder = std::thread([&] {
+      pool->ReadAhead(side_page, /*point_lookup=*/false);
+      obs::OpProfile probe;
+      obs::OpProfileScope scope(&probe);
+      Result<PageHandle> latched = pool->Fetch(side_page, PageIntent::kWrite);
+      if (!latched.ok() || probe.Snapshot().pool_misses == 0) {
+        state = kLostRace;
+        return;
+      }
+      state = kParked;
+      while (!release) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    while (state == kStarting) std::this_thread::yield();
+    if (state == kLostRace) {
+      holder.join();
+      continue;
+    }
+    // Parked once the queued fetch has made its lookup too.
+    while (pool->stats().lookups < lookups + 2) std::this_thread::yield();
+  }
+  ASSERT_EQ(state, kParked);
+
+  const BufferPool::Stats before = pool->stats();
+  const uint64_t billed_before =
+      session.entry()->totals().Snapshot().pool_lookups;
+  for (int i = 0; i < 3; ++i) select();
+  release = true;
+  holder.join();
+  pool->WaitForPrefetches();
+  const BufferPool::Stats after = pool->stats();
+  EXPECT_EQ(after.prefetches - before.prefetches, 3u);
+  EXPECT_EQ(after.lookups - before.lookups,
+            session.entry()->totals().Snapshot().pool_lookups - billed_before);
+}
+
 // --- Session accounting ----------------------------------------------
 
 TEST_F(QueryProfileSuite, SessionRegistryTracksOpenSessions) {

@@ -381,11 +381,33 @@ TEST_F(HeapFileTest, SequencingInIdOrder) {
   }
   EXPECT_EQ(*heap.FirstId(), 1u);
   EXPECT_EQ(*heap.LastId(), 9u);
-  EXPECT_EQ(*heap.NextId(1), 3u);
-  EXPECT_EQ(*heap.NextId(3), 5u);
-  EXPECT_EQ(*heap.PrevId(5), 3u);
-  EXPECT_TRUE(heap.NextId(9).status().IsOutOfRange());
-  EXPECT_TRUE(heap.PrevId(1).status().IsOutOfRange());
+  std::string arena;
+  std::vector<HeapFile::RecordSpan> spans;
+  auto ids = [&spans] {
+    std::vector<uint64_t> out;
+    for (const HeapFile::RecordSpan& span : spans) out.push_back(span.local_id);
+    return out;
+  };
+  ASSERT_TRUE(
+      heap.ReadRecordsInto(1, ScanDirection::kForward, 2, &arena, &spans)
+          .ok());
+  EXPECT_EQ(ids(), (std::vector<uint64_t>{3, 5}));
+  EXPECT_EQ(arena.substr(spans[1].offset, spans[1].length), "v5");
+  ASSERT_TRUE(
+      heap.ReadRecordsInto(5, ScanDirection::kBackward, 1, &arena, &spans)
+          .ok());
+  EXPECT_EQ(ids(), (std::vector<uint64_t>{3}));
+  EXPECT_EQ(arena, "v3");
+  ASSERT_TRUE(
+      heap.ReadRecordsInto(100, ScanDirection::kBackward, 10, &arena, &spans)
+          .ok());
+  EXPECT_EQ(ids(), (std::vector<uint64_t>{9, 5, 3, 1}));
+  EXPECT_TRUE(
+      heap.ReadRecordsInto(9, ScanDirection::kForward, 1, &arena, &spans)
+          .IsOutOfRange());
+  EXPECT_TRUE(
+      heap.ReadRecordsInto(1, ScanDirection::kBackward, 1, &arena, &spans)
+          .IsOutOfRange());
   EXPECT_EQ(heap.AllIds(), (std::vector<uint64_t>{1, 3, 5, 9}));
 }
 
