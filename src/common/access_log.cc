@@ -10,6 +10,7 @@
 #include "common/journal.h"
 #include "common/metrics.h"
 #include "common/op_profile.h"
+#include "common/strings.h"
 #include "common/trace.h"
 
 namespace ode::obs {
@@ -50,22 +51,6 @@ uint64_t HashAffinity(uint64_t src_cluster, uint64_t src_local,
   uint64_t h = HashKey((src_cluster << 40) ^ src_local);
   h ^= HashKey((dst_cluster << 40) ^ dst_local) * 0x9e3779b97f4a7c15ull;
   return h;
-}
-
-void AppendJsonEscapedLabel(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      *out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -289,19 +274,15 @@ Result<AccessTrace> ParseAccessTrace(std::string_view bytes) {
 
 // --- AccessLog ---------------------------------------------------------
 
-AccessLog::AccessLog(size_t ring_capacity) {
-  if (ring_capacity < 8) ring_capacity = 8;
-  ring_capacity_ = std::bit_ceil(ring_capacity);
-  ring_mask_ = ring_capacity_ - 1;
-  ring_ = std::make_unique<RingSlot[]>(ring_capacity_);
-  pages_ = std::make_unique<PageSlot[]>(kPageTableCapacity);
-  classes_ = std::make_unique<ClassSlot[]>(kClassTableCapacity);
-  affinity_ = std::make_unique<AffinitySlot[]>(kAffinityTableCapacity);
-}
+AccessLog::AccessLog(size_t ring_capacity)
+    : ring_capacity_(std::bit_ceil(std::max<size_t>(ring_capacity, 8))) {}
 
 AccessLog::~AccessLog() {
-  MutexLock lock(capture_mu_);
-  if (capture_.is_open()) (void)capture_.Close();
+  {
+    MutexLock lock(capture_mu_);
+    if (capture_.is_open()) (void)capture_.Close();
+  }
+  delete tables();
 }
 
 AccessLog& AccessLog::Global() {
@@ -311,10 +292,13 @@ AccessLog& AccessLog::Global() {
 }
 
 void AccessLog::Start(uint32_t sample_period) {
+  std::call_once(tables_once_, [this] {
+    tables_.store(new Tables(ring_capacity_), std::memory_order_release);
+  });
   if (sample_period == 0) sample_period = 1;
   sample_period_.store(sample_period, std::memory_order_relaxed);
   overflow_journaled_.store(false, std::memory_order_relaxed);
-  enabled_.store(true, std::memory_order_relaxed);
+  enabled_.store(true, std::memory_order_release);
   Journal::Global().Append(JournalEvent::kAccessRecorderStart,
                            static_cast<int64_t>(sample_period));
 }
@@ -356,7 +340,6 @@ void AccessLog::CountDrop(uint64_t n) {
 }
 
 void AccessLog::NoteOverwrite() {
-  overwritten_.fetch_add(1, std::memory_order_relaxed);
   OverwrittenCounter()->Increment();
   // Journal the first overflow after each Start: one record tells the
   // post-mortem the ring wrapped without flooding it every event.
@@ -366,40 +349,12 @@ void AccessLog::NoteOverwrite() {
   }
 }
 
-void AccessLog::AppendToRing(const AccessEvent& event) {
-  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  RingSlot& slot = ring_[seq & ring_mask_];
-  uint64_t current = slot.commit.load(std::memory_order_relaxed);
-  while (true) {
-    if (current == kBusy || current > seq) {
-      CountDrop();
-      return;
-    }
-    if (slot.commit.compare_exchange_weak(current, kBusy,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  if (current != 0) NoteOverwrite();
-  slot.ts_ns.store(event.ts_ns, std::memory_order_relaxed);
-  slot.op.store(static_cast<uint8_t>(event.op), std::memory_order_relaxed);
-  slot.cluster.store(event.cluster, std::memory_order_relaxed);
-  slot.local.store(event.local, std::memory_order_relaxed);
-  slot.page.store(event.page, std::memory_order_relaxed);
-  slot.class_label.store(event.class_label, std::memory_order_relaxed);
-  slot.session_id.store(event.session_id, std::memory_order_relaxed);
-  slot.trace_id.store(event.trace_id, std::memory_order_relaxed);
-  slot.commit.store(seq, std::memory_order_release);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
-  RecordedCounter()->Increment();
-}
-
 void AccessLog::BumpPageHeat(uint64_t page, bool object_access) {
   uint64_t key = page + 1;  // 0 marks an empty slot
+  PageSlot* pages = tables()->pages;
   size_t index = HashKey(key) % kPageTableCapacity;
   for (size_t probe = 0; probe < kPageTableCapacity; ++probe) {
-    PageSlot& slot = pages_[(index + probe) % kPageTableCapacity];
+    PageSlot& slot = pages[(index + probe) % kPageTableCapacity];
     uint64_t current = slot.key.load(std::memory_order_acquire);
     if (current == 0) {
       if (!slot.key.compare_exchange_strong(current, key,
@@ -419,10 +374,11 @@ void AccessLog::BumpPageHeat(uint64_t page, bool object_access) {
 
 void AccessLog::BumpClassHeat(const char* label, AccessOp op) {
   if (label == nullptr) return;
+  ClassSlot* classes = tables()->classes;
   size_t index =
       HashKey(reinterpret_cast<uintptr_t>(label)) % kClassTableCapacity;
   for (size_t probe = 0; probe < kClassTableCapacity; ++probe) {
-    ClassSlot& slot = classes_[(index + probe) % kClassTableCapacity];
+    ClassSlot& slot = classes[(index + probe) % kClassTableCapacity];
     const char* current = slot.key.load(std::memory_order_acquire);
     if (current == nullptr) {
       if (!slot.key.compare_exchange_strong(current, label,
@@ -454,7 +410,13 @@ void AccessLog::Record(AccessOp op, uint64_t cluster, uint64_t local,
   event.class_label = class_label;
   event.session_id = CurrentSessionId();
   event.trace_id = CurrentTraceContext().trace_id;
-  AppendToRing(event);
+  RingPush pushed = tables()->ring.Push(event);
+  if (pushed == RingPush::kDropped) {
+    CountDrop();
+  } else {
+    if (pushed == RingPush::kOverwrote) NoteOverwrite();
+    RecordedCounter()->Increment();
+  }
   BumpPageHeat(page, /*object_access=*/true);
   BumpClassHeat(class_label, op);
   if (capturing_.load(std::memory_order_acquire)) {
@@ -475,10 +437,11 @@ void AccessLog::RecordAffinity(uint64_t src_cluster, uint64_t src_local,
   if (!enabled()) return;
   uint64_t hash =
       HashAffinity(src_cluster, src_local, dst_cluster, dst_local);
+  AffinitySlot* affinity = tables()->affinity;
   size_t index = hash % kAffinityTableCapacity;
   bool counted = false;
   for (size_t probe = 0; probe < kAffinityTableCapacity; ++probe) {
-    AffinitySlot& slot = affinity_[(index + probe) % kAffinityTableCapacity];
+    AffinitySlot& slot = affinity[(index + probe) % kAffinityTableCapacity];
     uint32_t state = slot.state.load(std::memory_order_acquire);
     if (state == 0) {
       if (slot.state.compare_exchange_strong(state, 1,
@@ -514,39 +477,19 @@ void AccessLog::RecordAffinity(uint64_t src_cluster, uint64_t src_local,
   }
 }
 
-bool AccessLog::ReadRingSlot(uint64_t seq, AccessEvent* out) const {
-  const RingSlot& slot = ring_[seq & ring_mask_];
-  if (slot.commit.load(std::memory_order_acquire) != seq) return false;
-  out->seq = seq;
-  out->ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-  out->op = static_cast<AccessOp>(slot.op.load(std::memory_order_relaxed));
-  out->cluster = slot.cluster.load(std::memory_order_relaxed);
-  out->local = slot.local.load(std::memory_order_relaxed);
-  out->page = slot.page.load(std::memory_order_relaxed);
-  out->class_label = slot.class_label.load(std::memory_order_relaxed);
-  out->session_id = slot.session_id.load(std::memory_order_relaxed);
-  out->trace_id = slot.trace_id.load(std::memory_order_relaxed);
-  return slot.commit.load(std::memory_order_acquire) == seq;
-}
-
 std::vector<AccessEvent> AccessLog::SnapshotRing() const {
-  uint64_t newest = next_seq_.load(std::memory_order_acquire);
-  uint64_t oldest = newest > ring_capacity_ ? newest - ring_capacity_ + 1 : 1;
-  std::vector<AccessEvent> out;
-  out.reserve(newest >= oldest ? newest - oldest + 1 : 0);
-  for (uint64_t seq = oldest; seq <= newest; ++seq) {
-    AccessEvent event;
-    if (ReadRingSlot(seq, &event)) out.push_back(event);
-  }
-  return out;
+  const Tables* t = tables();
+  return t == nullptr ? std::vector<AccessEvent>() : t->ring.Snapshot();
 }
 
 AccessProfile AccessLog::SnapshotProfile(size_t top_pages,
                                          size_t top_edges) const {
   ODE_TRACE_SPAN("obs.access_snapshot");
   AccessProfile profile;
+  const Tables* t = tables();
+  if (t == nullptr) return profile;
   for (size_t i = 0; i < kPageTableCapacity; ++i) {
-    const PageSlot& slot = pages_[i];
+    const PageSlot& slot = t->pages[i];
     uint64_t key = slot.key.load(std::memory_order_acquire);
     if (key == 0) continue;
     PageHeat heat;
@@ -568,7 +511,7 @@ AccessProfile AccessLog::SnapshotProfile(size_t top_pages,
   }
 
   for (size_t i = 0; i < kClassTableCapacity; ++i) {
-    const ClassSlot& slot = classes_[i];
+    const ClassSlot& slot = t->classes[i];
     const char* key = slot.key.load(std::memory_order_acquire);
     if (key == nullptr) continue;
     ClassHeat heat;
@@ -588,7 +531,7 @@ AccessProfile AccessLog::SnapshotProfile(size_t top_pages,
             });
 
   for (size_t i = 0; i < kAffinityTableCapacity; ++i) {
-    const AffinitySlot& slot = affinity_[i];
+    const AffinitySlot& slot = t->affinity[i];
     if (slot.state.load(std::memory_order_acquire) != 2) continue;
     AffinityEdge edge;
     edge.src_cluster = slot.src_cluster;
@@ -642,7 +585,7 @@ std::string AccessLog::RenderHeatmapJson(size_t top_n) const {
     if (!first) out += ",";
     first = false;
     out += "{\"class\":\"";
-    AppendJsonEscapedLabel(&out, heat.class_label);
+    AppendJsonEscaped(&out, heat.class_label);
     out += "\",\"total\":" + std::to_string(heat.total);
     for (size_t op = 0; op < kAccessOpCount; ++op) {
       out += ",\"";
@@ -661,9 +604,9 @@ std::string AccessLog::RenderHeatmapJson(size_t top_n) const {
     out += ",\"dst\":\"c" + std::to_string(edge.dst_cluster) + ":o" +
            std::to_string(edge.dst_local) + "\"";
     out += ",\"src_class\":\"";
-    if (edge.src_class != nullptr) AppendJsonEscapedLabel(&out, edge.src_class);
+    if (edge.src_class != nullptr) AppendJsonEscaped(&out, edge.src_class);
     out += "\",\"dst_class\":\"";
-    if (edge.dst_class != nullptr) AppendJsonEscapedLabel(&out, edge.dst_class);
+    if (edge.dst_class != nullptr) AppendJsonEscaped(&out, edge.dst_class);
     out += "\",\"count\":" + std::to_string(edge.count) + "}";
   }
   out += "]}\n";
@@ -711,31 +654,26 @@ void AccessLog::ResetForTest() {
     capturing_.store(false, std::memory_order_relaxed);
     if (capture_.is_open()) (void)capture_.Close();
   }
-  for (size_t i = 0; i < ring_capacity_; ++i) {
-    ring_[i].commit.store(0, std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < kPageTableCapacity; ++i) {
-    pages_[i].key.store(0, std::memory_order_relaxed);
-    pages_[i].object_accesses.store(0, std::memory_order_relaxed);
-    pages_[i].pool_touches.store(0, std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < kClassTableCapacity; ++i) {
-    classes_[i].key.store(nullptr, std::memory_order_relaxed);
-    classes_[i].total.store(0, std::memory_order_relaxed);
-    for (size_t op = 0; op < kAccessOpCount; ++op) {
-      classes_[i].by_op[op].store(0, std::memory_order_relaxed);
+  if (Tables* t = tables()) {
+    t->ring.Clear();
+    for (PageSlot& slot : t->pages) {
+      slot.key.store(0, std::memory_order_relaxed);
+      slot.object_accesses.store(0, std::memory_order_relaxed);
+      slot.pool_touches.store(0, std::memory_order_relaxed);
     }
-  }
-  for (size_t i = 0; i < kAffinityTableCapacity; ++i) {
-    affinity_[i].state.store(0, std::memory_order_relaxed);
-    affinity_[i].count.store(0, std::memory_order_relaxed);
+    for (ClassSlot& slot : t->classes) {
+      slot.key.store(nullptr, std::memory_order_relaxed);
+      slot.total.store(0, std::memory_order_relaxed);
+      for (auto& count : slot.by_op) count.store(0, std::memory_order_relaxed);
+    }
+    for (AffinitySlot& slot : t->affinity) {
+      slot.state.store(0, std::memory_order_relaxed);
+      slot.count.store(0, std::memory_order_relaxed);
+    }
   }
   sample_period_.store(1, std::memory_order_relaxed);
   sample_tick_.store(0, std::memory_order_relaxed);
-  next_seq_.store(0, std::memory_order_relaxed);
-  recorded_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  overwritten_.store(0, std::memory_order_relaxed);
   overflow_journaled_.store(false, std::memory_order_relaxed);
 }
 

@@ -5,12 +5,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "common/ring.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/threading.h"
@@ -166,19 +167,19 @@ Result<AccessTrace> ParseAccessTrace(std::string_view bytes);
 ///
 /// Producers (heap reads, pool fetches, cascade resolution, join row
 /// flow) record with a handful of atomics and never block: events go
-/// into a Journal-style lock-free MPSC overwrite ring, and heat is
-/// aggregated inline into fixed-size open-addressing tables whose
-/// slots are claimed by compare-and-swap. When capture is active,
-/// recording additionally serializes the event into a buffered trace
-/// file under `capture_mu_` (rank `kAccessCapture` — recording *on*
-/// is a tracing mode and may pay a short mutex; recording *off* costs
-/// one relaxed load per charge site).
+/// into an `obs::Ring` (ring.h), and heat is aggregated inline into
+/// fixed-size open-addressing tables whose slots are claimed by
+/// compare-and-swap. The ring and the tables are allocated by the
+/// first `Start`, so a recorder that is never started costs no memory.
+/// When capture is active, recording additionally serializes the event
+/// into a buffered trace file under `capture_mu_` (rank
+/// `kAccessCapture` — recording *on* is a tracing mode and may pay a
+/// short mutex; recording *off* costs one atomic load per charge site).
 ///
-/// Loss accounting: `dropped()` counts ring slot-claim races plus heat
-/// table overflow (a table ran out of slots — the heat map is then a
-/// floor, not a census); `overwritten()` counts ring records replaced
-/// by newer generations. Both surface as `obs.access.*` counters and
-/// in the `/heatmap` JSON.
+/// Loss accounting: the ring's (see ring.h), except that `dropped()`
+/// also counts heat table overflow (a table ran out of slots — the heat
+/// map is then a floor, not a census). Both surface as `obs.access.*`
+/// counters and in the `/heatmap` JSON.
 class AccessLog {
  public:
   static constexpr size_t kDefaultRingCapacity = 16384;
@@ -200,7 +201,7 @@ class AccessLog {
   /// Disables recording (capture, if active, stays open until
   /// `StopCapture`). Journals `access_recorder_stop`.
   void Stop();
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  bool enabled() const { return enabled_.load(std::memory_order_acquire); }
   uint32_t sample_period() const {
     return sample_period_.load(std::memory_order_relaxed);
   }
@@ -231,13 +232,14 @@ class AccessLog {
   // --- Accounting ------------------------------------------------------
   /// Events recorded into the ring (sampled-in, not dropped).
   uint64_t recorded() const {
-    return recorded_.load(std::memory_order_relaxed);
+    const Tables* t = tables();
+    return t == nullptr ? 0 : t->ring.appended() - t->ring.dropped();
   }
   /// Ring claim races + heat/affinity table overflow.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   /// Ring records overwritten by newer generations.
   uint64_t overwritten() const {
-    return overwritten_.load(std::memory_order_relaxed);
+    return tables() == nullptr ? 0 : tables()->ring.overwritten();
   }
   size_t ring_capacity() const { return ring_capacity_; }
 
@@ -258,23 +260,10 @@ class AccessLog {
   std::string RenderHeatmapText(size_t top_n = 16) const;
 
   /// Clears everything (ring, tables, counters) and disables the
-  /// recorder. Callers must be quiesced — test-only.
+  /// recorder; frees nothing. Callers must be quiesced — test-only.
   void ResetForTest();
 
  private:
-  /// Journal-style ring slot; `commit` is 0 = empty, kBusy = being
-  /// written, else the committed sequence number.
-  struct RingSlot {
-    std::atomic<uint64_t> commit{0};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint8_t> op{0};
-    std::atomic<uint64_t> cluster{0};
-    std::atomic<uint64_t> local{0};
-    std::atomic<uint64_t> page{0};
-    std::atomic<const char*> class_label{nullptr};
-    std::atomic<uint64_t> session_id{0};
-    std::atomic<uint64_t> trace_id{0};
-  };
   /// Open-addressing heat slot keyed by page+1 (0 = empty).
   struct PageSlot {
     std::atomic<uint64_t> key{0};
@@ -298,31 +287,34 @@ class AccessLog {
     std::atomic<uint64_t> count{0};
   };
 
-  static constexpr uint64_t kBusy = ~uint64_t{0};
+  /// What a started recorder writes into; never freed before the
+  /// recorder itself.
+  struct Tables {
+    explicit Tables(size_t ring_capacity) : ring(ring_capacity) {}
+    Ring<AccessEvent> ring;
+    PageSlot pages[kPageTableCapacity];
+    ClassSlot classes[kClassTableCapacity];
+    AffinitySlot affinity[kAffinityTableCapacity];
+  };
 
+  /// Null until the first Start, which publishes it before `enabled_`
+  /// turns true; charge sites that saw `enabled()` may dereference it.
+  Tables* tables() const { return tables_.load(std::memory_order_acquire); }
   bool SampledOut();
-  void AppendToRing(const AccessEvent& event);
   void BumpPageHeat(uint64_t page, bool object_access);
   void BumpClassHeat(const char* label, AccessOp op);
-  bool ReadRingSlot(uint64_t seq, AccessEvent* out) const;
   void CountDrop(uint64_t n = 1);
   /// First ring overflow after each Start is journaled (rate limit).
   void NoteOverwrite();
 
-  size_t ring_capacity_ = 0;
-  uint64_t ring_mask_ = 0;
-  std::unique_ptr<RingSlot[]> ring_;
-  std::unique_ptr<PageSlot[]> pages_;
-  std::unique_ptr<ClassSlot[]> classes_;
-  std::unique_ptr<AffinitySlot[]> affinity_;
+  const size_t ring_capacity_;
+  std::once_flag tables_once_;
+  std::atomic<Tables*> tables_{nullptr};
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint32_t> sample_period_{1};
   std::atomic<uint64_t> sample_tick_{0};
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};
-  std::atomic<uint64_t> overwritten_{0};
   std::atomic<bool> overflow_journaled_{false};
 
   /// `capturing_` is the producers' cheap gate; the writer itself is

@@ -2,49 +2,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <sstream>
 #include <unordered_set>
 
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "common/threading.h"
 #include "common/trace.h"
 
 namespace ode::obs {
-
-namespace {
-
-/// JSON string escaping for detail labels (class names etc.).
-void AppendJsonEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 const char* JournalEventName(JournalEvent type) {
   switch (type) {
@@ -98,12 +67,8 @@ const char* JournalEventName(JournalEvent type) {
   return "unknown";
 }
 
-Journal::Journal(size_t capacity) {
-  if (capacity < 8) capacity = 8;
-  capacity_ = std::bit_ceil(capacity);
-  mask_ = capacity_ - 1;
-  slots_ = std::make_unique<Slot[]>(capacity_);
-}
+Journal::Journal(size_t capacity)
+    : ring_(std::bit_ceil(std::max<size_t>(capacity, 8))) {}
 
 Journal& Journal::Global() {
   // Leaked singleton: crash handlers read the journal during (or
@@ -114,69 +79,17 @@ Journal& Journal::Global() {
 
 void Journal::Append(JournalEvent type, int64_t arg0, int64_t arg1,
                      const char* detail) {
-  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[seq & mask_];
-  // Claim the slot by swapping any *older* committed value (or 0) to
-  // the busy marker. A producer that finds the slot busy, or already
-  // committed by a newer generation, lagged a full ring behind: its
-  // record would be overwritten immediately anyway, so it is dropped
-  // and counted, keeping the accounting exact.
-  uint64_t current = slot.commit.load(std::memory_order_relaxed);
-  while (true) {
-    if (current == kBusy || current > seq) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (slot.commit.compare_exchange_weak(current, kBusy,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  if (current != 0) {
-    overwritten_.fetch_add(1, std::memory_order_relaxed);
-  }
   TraceContext ctx = CurrentTraceContext();
-  slot.ts_ns.store(Tracing::NowNanos(), std::memory_order_relaxed);
-  slot.type.store(static_cast<uint32_t>(type), std::memory_order_relaxed);
-  slot.thread_id.store(CurrentThreadId(), std::memory_order_relaxed);
-  slot.trace_id.store(ctx.trace_id, std::memory_order_relaxed);
-  slot.span_id.store(ctx.span_id, std::memory_order_relaxed);
-  slot.arg0.store(arg0, std::memory_order_relaxed);
-  slot.arg1.store(arg1, std::memory_order_relaxed);
-  slot.detail.store(detail, std::memory_order_relaxed);
-  // Publish: readers acquire `commit` and then see every field above.
-  slot.commit.store(seq, std::memory_order_release);
-}
-
-bool Journal::ReadSlot(uint64_t seq, JournalRecord* out) const {
-  const Slot& slot = slots_[seq & mask_];
-  if (slot.commit.load(std::memory_order_acquire) != seq) return false;
-  out->seq = seq;
-  out->ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-  out->type =
-      static_cast<JournalEvent>(slot.type.load(std::memory_order_relaxed));
-  out->thread_id = slot.thread_id.load(std::memory_order_relaxed);
-  out->trace_id = slot.trace_id.load(std::memory_order_relaxed);
-  out->span_id = slot.span_id.load(std::memory_order_relaxed);
-  out->arg0 = slot.arg0.load(std::memory_order_relaxed);
-  out->arg1 = slot.arg1.load(std::memory_order_relaxed);
-  out->detail = slot.detail.load(std::memory_order_relaxed);
-  // Re-check after the payload reads: if a writer reclaimed the slot
-  // meanwhile, the fields may mix two records — discard.
-  return slot.commit.load(std::memory_order_acquire) == seq;
-}
-
-std::vector<JournalRecord> Journal::Snapshot() const {
-  uint64_t newest = next_seq_.load(std::memory_order_acquire);
-  uint64_t oldest = newest > capacity_ ? newest - capacity_ + 1 : 1;
-  std::vector<JournalRecord> out;
-  out.reserve(newest >= oldest ? newest - oldest + 1 : 0);
-  for (uint64_t seq = oldest; seq <= newest; ++seq) {
-    JournalRecord record;
-    if (ReadSlot(seq, &record)) out.push_back(record);
-  }
-  return out;
+  JournalRecord record;
+  record.ts_ns = Tracing::NowNanos();
+  record.type = type;
+  record.thread_id = CurrentThreadId();
+  record.trace_id = ctx.trace_id;
+  record.span_id = ctx.span_id;
+  record.arg0 = arg0;
+  record.arg1 = arg1;
+  record.detail = detail;
+  ring_.Push(record);
 }
 
 std::string Journal::ExportJsonLines() const {
@@ -203,7 +116,7 @@ std::string Journal::ExportJsonLines() const {
          std::to_string(appended()) +
          ",\"dropped\":" + std::to_string(dropped()) +
          ",\"overwritten\":" + std::to_string(overwritten()) +
-         ",\"capacity\":" + std::to_string(capacity_) + "}\n";
+         ",\"capacity\":" + std::to_string(capacity()) + "}\n";
   PublishLossMetrics();
   return out;
 }
@@ -254,13 +167,9 @@ std::string Journal::RenderText(size_t max_records) const {
 }
 
 void Journal::DumpTail(int fd, size_t max_records) const {
-  uint64_t newest = next_seq_.load(std::memory_order_acquire);
-  uint64_t window = max_records < capacity_ ? max_records : capacity_;
-  uint64_t oldest = newest > window ? newest - window + 1 : 1;
   char line[256];
-  for (uint64_t seq = oldest; seq <= newest; ++seq) {
-    JournalRecord r;
-    if (!ReadSlot(seq, &r)) continue;
+  ring_.VisitNewest(max_records, [fd, &line](uint64_t,
+                                             const JournalRecord& r) {
     int n = std::snprintf(
         line, sizeof(line),
         "  journal #%llu +%llums %s thread=%u arg0=%lld arg1=%lld%s%s\n",
@@ -274,7 +183,7 @@ void Journal::DumpTail(int fd, size_t max_records) const {
       ssize_t ignored = ::write(fd, line, static_cast<size_t>(n));
       (void)ignored;
     }
-  }
+  });
 }
 
 const char* Journal::InternLabel(std::string_view label) {

@@ -1,12 +1,12 @@
 #ifndef ODEVIEW_COMMON_JOURNAL_H_
 #define ODEVIEW_COMMON_JOURNAL_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/ring.h"
 
 namespace ode::obs {
 
@@ -60,17 +60,12 @@ struct JournalRecord {
   const char* detail = nullptr;  ///< optional static/interned label
 };
 
-/// A bounded lock-free MPSC flight-recorder ring of typed records.
-///
-/// Producers (any thread) append with a handful of atomic operations
-/// and never block; when the ring is full the oldest records are
-/// overwritten, so the journal always retains the most recent tail —
-/// the part a post-mortem wants. The consumer (exports, the telemetry
-/// endpoint, crash dumps) reads a consistent snapshot: each slot is
-/// claimed by compare-and-swap and published with a release store of
-/// its sequence number, so a half-written slot is never observed. A
-/// producer that loses the claim race for a slot (it lagged a full
-/// ring generation behind) drops its record and counts it.
+/// The flight recorder: typed records in an `obs::Ring` (see ring.h for
+/// the lock-free protocol and the loss accounting). Producers on any
+/// thread append without blocking; a full ring overwrites its oldest
+/// records, so the journal always retains the most recent tail — the
+/// part a post-mortem wants. Consumers (exports, the telemetry
+/// endpoint, crash dumps) never observe a half-written record.
 class Journal {
  public:
   /// `capacity` is rounded up to a power of two; minimum 8.
@@ -90,16 +85,12 @@ class Journal {
               const char* detail = nullptr);
 
   /// Records ever appended (including overwritten and dropped ones).
-  uint64_t appended() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  uint64_t appended() const { return ring_.appended(); }
   /// Records dropped because the producer lost a slot-claim race.
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  uint64_t dropped() const { return ring_.dropped(); }
   /// Records overwritten by a newer ring generation (the ring wrapped).
-  uint64_t overwritten() const {
-    return overwritten_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
+  uint64_t overwritten() const { return ring_.overwritten(); }
+  size_t capacity() const { return ring_.capacity(); }
 
   /// Mirrors the loss accounting into `obs.journal.appended/dropped/
   /// overwritten` registry counters. Deliberately *not* done inside
@@ -111,7 +102,7 @@ class Journal {
 
   /// The retained tail, oldest first. Safe against concurrent writers
   /// (slots being overwritten mid-read are skipped).
-  std::vector<JournalRecord> Snapshot() const;
+  std::vector<JournalRecord> Snapshot() const { return ring_.Snapshot(); }
 
   /// JSON-lines export: one JSON object per record, newline-separated.
   std::string ExportJsonLines() const;
@@ -129,35 +120,8 @@ class Journal {
 
  private:
   static constexpr size_t kDefaultCapacity = 4096;
-  /// Claim marker: a slot being written. Distinct from any sequence
-  /// number a reader would accept.
-  static constexpr uint64_t kBusy = ~uint64_t{0};
 
-  /// One ring slot. `commit` holds the sequence number of the fully
-  /// written record (0 = never used, kBusy = being written); payload
-  /// fields are atomics so concurrent overwrite/read stays defined.
-  struct Slot {
-    std::atomic<uint64_t> commit{0};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint32_t> type{0};
-    std::atomic<uint32_t> thread_id{0};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint64_t> span_id{0};
-    std::atomic<int64_t> arg0{0};
-    std::atomic<int64_t> arg1{0};
-    std::atomic<const char*> detail{nullptr};
-  };
-
-  /// Reads `slots_[seq & mask_]` into `out` iff it holds exactly
-  /// `seq`'s fully committed record.
-  bool ReadSlot(uint64_t seq, JournalRecord* out) const;
-
-  size_t capacity_ = 0;
-  uint64_t mask_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> dropped_{0};
-  std::atomic<uint64_t> overwritten_{0};
+  Ring<JournalRecord> ring_;
 };
 
 }  // namespace ode::obs

@@ -174,11 +174,10 @@ const std::vector<LockRankInfo>& LockRankTable() {
       // create instruments or snapshot the registry while held.
       {LockRank::kTimeSeries, "obs.timeseries_lock", false, false},
       {LockRank::kAccessCapture, "obs.access_capture_lock", false, false},
-      // Session inspector / slow-op ring: registered below the metrics
-      // registry so render paths may still create instruments.
+      // Session inspector: registered below the metrics registry so
+      // render paths may still create instruments.
       {LockRank::kSessionRegistry, "obs.session_registry_lock", false,
        false},
-      {LockRank::kSlowOpLog, "obs.slow_op_lock", false, false},
       {LockRank::kMetricsRegistry, "obs.registry_lock", false, false},
       {LockRank::kTraceDirectory, "trace.directory_lock", false, false},
       // Same-rank stacking: OpenSpans/export paths iterate thread

@@ -41,10 +41,9 @@ enum class LockRank : uint16_t {
   kTimeSeries = 182,        ///< obs::TimeSeriesStore::mu_ (history rings)
   kAccessCapture = 185,     ///< obs::AccessLog capture-file writer
   kSessionRegistry = 190,   ///< obs::SessionRegistry::mu_ (open sessions)
-  kSlowOpLog = 195,         ///< obs::SlowOpLog::mu_ (slow-op ring)
   kMetricsRegistry = 200,   ///< obs::Registry::mu_ (instrument maps)
   kTraceDirectory = 210,    ///< trace BufferDirectory::mu
-  kTraceBuffer = 220,       ///< trace ThreadBuffer::mu (span rings)
+  kTraceBuffer = 220,       ///< trace ThreadBuffer::mu (open-span stack)
   kJournalIntern = 230,     ///< journal label intern table
 };
 

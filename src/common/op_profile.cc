@@ -213,40 +213,16 @@ void SlowOpLog::Record(const char* op, uint64_t session_id,
                        uint64_t trace_id, uint64_t duration_ns,
                        const OpProfileStats& stats) {
   SlowOpRecord record;
-  record.seq = recorded_.fetch_add(1, std::memory_order_relaxed) + 1;
   record.ts_ns = NowNs();
   record.duration_ns = duration_ns;
   record.session_id = session_id;
   record.trace_id = trace_id;
   record.op = op;
   record.stats = stats;
-  {
-    MutexLock lock(mu_);
-    if (ring_.size() < kCapacity) {
-      ring_.push_back(record);
-    } else {
-      ring_[next_] = record;
-    }
-    next_ = (next_ + 1) % kCapacity;
-  }
+  ring_.Push(record);
   Journal::Global().Append(JournalEvent::kSlowOp,
                            static_cast<int64_t>(duration_ns),
                            static_cast<int64_t>(session_id), op);
-}
-
-std::vector<SlowOpRecord> SlowOpLog::Snapshot() const {
-  MutexLock lock(mu_);
-  std::vector<SlowOpRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < kCapacity) {
-    out = ring_;
-  } else {
-    // `next_` is the oldest slot once the ring has wrapped.
-    for (size_t i = 0; i < kCapacity; ++i) {
-      out.push_back(ring_[(next_ + i) % kCapacity]);
-    }
-  }
-  return out;
 }
 
 std::string SlowOpLog::RenderJson() const {
@@ -269,12 +245,7 @@ std::string SlowOpLog::RenderJson() const {
   return os.str();
 }
 
-void SlowOpLog::ResetForTest() {
-  MutexLock lock(mu_);
-  ring_.clear();
-  next_ = 0;
-  recorded_.store(0, std::memory_order_relaxed);
-}
+void SlowOpLog::ResetForTest() { ring_.Clear(); }
 
 // ---------------------------------------------------------------------------
 // ProfiledOp

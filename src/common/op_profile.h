@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 #include "common/threading.h"
 
@@ -258,10 +259,9 @@ struct SlowOpRecord {
   OpProfileStats stats;
 };
 
-/// Bounded overwrite ring of full profiles for operations that ran
-/// longer than the configured threshold — the `/slow` endpoint's data
-/// source. Recording is off the hot path (only ops already past the
-/// threshold pay the mutex), so a plain lock-guarded ring suffices.
+/// Bounded overwrite ring (`obs::Ring`) of full profiles for operations
+/// that ran longer than the configured threshold — the `/slow`
+/// endpoint's data source.
 class SlowOpLog {
  public:
   static constexpr size_t kCapacity = 128;
@@ -287,12 +287,10 @@ class SlowOpLog {
               uint64_t duration_ns, const OpProfileStats& stats);
 
   /// Records ever parked (including overwritten ones).
-  uint64_t recorded() const {
-    return recorded_.load(std::memory_order_relaxed);
-  }
+  uint64_t recorded() const { return ring_.appended(); }
 
   /// The retained tail, oldest first.
-  std::vector<SlowOpRecord> Snapshot() const;
+  std::vector<SlowOpRecord> Snapshot() const { return ring_.Snapshot(); }
 
   /// JSON array, oldest first.
   std::string RenderJson() const;
@@ -301,10 +299,7 @@ class SlowOpLog {
 
  private:
   std::atomic<uint64_t> threshold_ns_{kDefaultThresholdNs};
-  std::atomic<uint64_t> recorded_{0};
-  mutable Mutex mu_{LockRank::kSlowOpLog};
-  std::vector<SlowOpRecord> ring_ ODE_GUARDED_BY(mu_);  ///< ring, wraps
-  size_t next_ ODE_GUARDED_BY(mu_) = 0;
+  Ring<SlowOpRecord> ring_{kCapacity};
 };
 
 /// RAII around one profiled operation: installs a fresh `OpProfile`

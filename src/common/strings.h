@@ -30,6 +30,11 @@ std::string PadTo(std::string_view s, size_t width);
 /// spaces when possible. Existing newlines are honored.
 std::vector<std::string> WrapText(std::string_view text, size_t width);
 
+/// Appends `s` escaped for the inside of a JSON string: short escapes
+/// for `"`, `\`, newline, carriage return and tab, `\u00XX` for every
+/// other byte below 0x20; bytes >= 0x80 pass through unchanged.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 }  // namespace ode
 
 #endif  // ODEVIEW_COMMON_STRINGS_H_

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/strings.h"
 #include "common/trace.h"
 
 namespace ode::obs {
@@ -93,14 +94,9 @@ void TimeSeriesStore::TickOnce() {
 void TimeSeriesStore::Fold(const std::vector<MetricSample>& samples,
                            uint64_t now_ns) {
   for (const MetricSample& s : samples) {
-    Ring& ring = series_[s.name];
-    ring.kind = s.kind;
-    if (ring.points.size() != slots_) {
-      ring.points.assign(slots_, TimeSeriesPoint{});
-      ring.next = 0;
-      ring.size = 0;
-    }
-    TimeSeriesPoint& p = ring.points[ring.next];
+    History& history = series_.try_emplace(s.name, slots_).first->second;
+    history.kind = s.kind;
+    TimeSeriesPoint p;
     p.ts_ns = now_ns;
     p.value = s.value;
     p.count = s.count;
@@ -117,21 +113,9 @@ void TimeSeriesStore::Fold(const std::vector<MetricSample>& samples,
         p.p99 = s.p99;
       }
     }
-    ring.next = (ring.next + 1) % slots_;
-    if (ring.size < slots_) ++ring.size;
+    history.points.Push(p);
   }
   ++ticks_;
-}
-
-std::vector<TimeSeriesPoint> TimeSeriesStore::Unroll(const Ring& ring) {
-  std::vector<TimeSeriesPoint> out;
-  out.reserve(ring.size);
-  size_t capacity = ring.points.size();
-  size_t start = ring.size < capacity ? 0 : ring.next;
-  for (size_t i = 0; i < ring.size; ++i) {
-    out.push_back(ring.points[(start + i) % capacity]);
-  }
-  return out;
 }
 
 void TimeSeriesStore::Loop() {
@@ -154,32 +138,11 @@ TimeSeries TimeSeriesStore::Series(const std::string& name) const {
   auto it = series_.find(name);
   if (it == series_.end()) return out;
   out.kind = it->second.kind;
-  out.points = Unroll(it->second);
+  out.points = it->second.points.Snapshot();
   return out;
 }
 
 namespace {
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 const char* KindName(MetricSample::Kind kind) {
   switch (kind) {
@@ -201,20 +164,20 @@ std::string TimeSeriesStore::RenderJson() const {
                     ",\"slots\":" + std::to_string(slots_) +
                     ",\"ticks\":" + std::to_string(ticks_) + ",\"series\":[";
   bool first_series = true;
-  for (const auto& [name, ring] : series_) {
+  for (const auto& [name, history] : series_) {
     if (!first_series) out += ",";
     first_series = false;
     out += "{\"name\":\"";
     AppendJsonEscaped(&out, name);
     out += "\",\"kind\":\"";
-    out += KindName(ring.kind);
+    out += KindName(history.kind);
     out += "\",\"points\":[";
-    std::vector<TimeSeriesPoint> points = Unroll(ring);
+    std::vector<TimeSeriesPoint> points = history.points.Snapshot();
     for (size_t i = 0; i < points.size(); ++i) {
       const TimeSeriesPoint& p = points[i];
       if (i != 0) out += ",";
       out += "{\"ts_ns\":" + std::to_string(p.ts_ns);
-      switch (ring.kind) {
+      switch (history.kind) {
         case MetricSample::Kind::kCounter: {
           out += ",\"value\":" + std::to_string(p.value);
           if (i != 0 && p.ts_ns > points[i - 1].ts_ns) {

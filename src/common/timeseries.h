@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/ring.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/threading.h"
@@ -90,24 +91,22 @@ class TimeSeriesStore {
   void ResetForTest();
 
  private:
-  struct Ring {
+  /// One metric's retained points (exactly `slots_` of them).
+  struct History {
+    explicit History(size_t slots) : points(slots) {}
     MetricSample::Kind kind = MetricSample::Kind::kCounter;
-    std::vector<TimeSeriesPoint> points;  ///< ring, wraps at slots_
-    size_t next = 0;
-    size_t size = 0;
+    Ring<TimeSeriesPoint> points;
   };
 
   void Fold(const std::vector<MetricSample>& samples, uint64_t now_ns)
       ODE_REQUIRES(mu_);
-  /// Oldest-first copy of one ring. Caller holds `mu_`.
-  static std::vector<TimeSeriesPoint> Unroll(const Ring& ring);
   void Loop();
 
   mutable Mutex mu_{LockRank::kTimeSeries};
   CondVar wake_cv_;
   uint64_t resolution_ns_ ODE_GUARDED_BY(mu_);
   size_t slots_ ODE_GUARDED_BY(mu_);
-  std::map<std::string, Ring> series_ ODE_GUARDED_BY(mu_);
+  std::map<std::string, History> series_ ODE_GUARDED_BY(mu_);
   uint64_t ticks_ ODE_GUARDED_BY(mu_) = 0;
   std::thread thread_ ODE_GUARDED_BY(mu_);
   bool running_ ODE_GUARDED_BY(mu_) = false;

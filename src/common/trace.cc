@@ -8,6 +8,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/ring.h"
+#include "common/strings.h"
 #include "common/thread_annotations.h"
 #include "common/threading.h"
 
@@ -25,21 +27,18 @@ constexpr size_t kRingCapacity = 8192;
 /// free).
 constexpr size_t kMaxOpenSpans = 64;
 
-/// One thread's span storage. The owning thread appends; an exporting
-/// thread reads — both under `mu`, which the owner almost always takes
-/// uncontended.
+/// One thread's span storage. The owning thread pushes completed spans
+/// into `events` (lock-free; exports read it concurrently); `mu`, which
+/// the owner almost always takes uncontended, guards the open-span stack.
 struct ThreadBuffer {
+  Ring<TraceEvent> events{kRingCapacity};
   Mutex mu{LockRank::kTraceBuffer};
-  std::vector<TraceEvent> ring ODE_GUARDED_BY(mu);
-  size_t next ODE_GUARDED_BY(mu) = 0;  ///< ring slot for the next event
-  bool wrapped ODE_GUARDED_BY(mu) = false;  ///< holds kRingCapacity events
-  uint64_t dropped ODE_GUARDED_BY(mu) = 0;
   /// Stack of spans whose TraceSpan is still in scope.
   OpenSpanInfo open[kMaxOpenSpans] ODE_GUARDED_BY(mu);
   size_t open_count ODE_GUARDED_BY(mu) = 0;
   /// Updated every time the owning thread opens or closes a span; the
   /// watchdog's progress signal.
-  uint64_t last_activity_ns ODE_GUARDED_BY(mu) = 0;
+  std::atomic<uint64_t> last_activity_ns{0};
   /// Immutable after the registration in LocalBuffer().
   uint32_t thread_id = 0;
 };
@@ -128,45 +127,26 @@ void Tracing::Record(const char* name, uint64_t start_ns,
   event.span_id = span_id;
   event.parent_id = parent_id;
   ThreadBuffer& buffer = LocalBuffer();
-  MutexLock lock(buffer.mu);
-  buffer.last_activity_ns = NowNanos();
-  if (buffer.ring.size() < kRingCapacity) {
-    buffer.ring.push_back(event);
-    buffer.next = buffer.ring.size() % kRingCapacity;
-  } else {
-    buffer.ring[buffer.next] = event;
-    buffer.next = (buffer.next + 1) % kRingCapacity;
-    buffer.wrapped = true;
-    ++buffer.dropped;
-  }
+  buffer.last_activity_ns.store(NowNanos(), std::memory_order_relaxed);
+  buffer.events.Push(event);
 }
 
 size_t Tracing::CapturedCount() {
   size_t total = 0;
-  for (const auto& buffer : AllBuffers()) {
-    MutexLock lock(buffer->mu);
-    total += buffer->ring.size();
-  }
+  for (const auto& buffer : AllBuffers()) total += buffer->events.size();
   return total;
 }
 
 uint64_t Tracing::DroppedCount() {
   uint64_t total = 0;
   for (const auto& buffer : AllBuffers()) {
-    MutexLock lock(buffer->mu);
-    total += buffer->dropped;
+    total += buffer->events.overwritten() + buffer->events.dropped();
   }
   return total;
 }
 
 void Tracing::Clear() {
-  for (const auto& buffer : AllBuffers()) {
-    MutexLock lock(buffer->mu);
-    buffer->ring.clear();
-    buffer->next = 0;
-    buffer->wrapped = false;
-    buffer->dropped = 0;
-  }
+  for (const auto& buffer : AllBuffers()) buffer->events.Clear();
 }
 
 std::vector<OpenSpanInfo> Tracing::OpenSpans() {
@@ -175,7 +155,8 @@ std::vector<OpenSpanInfo> Tracing::OpenSpans() {
     MutexLock lock(buffer->mu);
     for (size_t i = 0; i < buffer->open_count; ++i) {
       OpenSpanInfo info = buffer->open[i];
-      info.thread_last_activity_ns = buffer->last_activity_ns;
+      info.thread_last_activity_ns =
+          buffer->last_activity_ns.load(std::memory_order_relaxed);
       out.push_back(info);
     }
   }
@@ -215,47 +196,20 @@ void Tracing::DumpOpenSpans(int fd) {
 std::vector<TraceEvent> Tracing::SnapshotEvents() {
   std::vector<TraceEvent> out;
   for (const auto& buffer : AllBuffers()) {
-    MutexLock lock(buffer->mu);
-    out.insert(out.end(), buffer->ring.begin(), buffer->ring.end());
+    std::vector<TraceEvent> events = buffer->events.Snapshot();
+    out.insert(out.end(), events.begin(), events.end());
   }
   return out;
 }
-
-namespace {
-
-/// Span names are compile-time literals by convention, but the export
-/// must stay valid JSON even when one carries a quote, backslash, or
-/// control byte.
-void StreamJsonEscaped(std::ostringstream& os, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << *p;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::string Tracing::ExportChromeJson() {
   std::ostringstream os;
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
+  std::string name;
   for (const auto& buffer : AllBuffers()) {
-    MutexLock lock(buffer->mu);
-    for (const TraceEvent& event : buffer->ring) {
+    buffer->events.VisitNewest(kRingCapacity, [&](uint64_t,
+                                                  const TraceEvent& event) {
       if (!first) os << ",";
       first = false;
       // Timestamps are microseconds (the trace_event unit); keep
@@ -267,15 +221,17 @@ std::string Tracing::ExportChromeJson() {
       std::snprintf(dur, sizeof(dur), "%llu.%03llu",
                     static_cast<unsigned long long>(event.duration_ns / 1000),
                     static_cast<unsigned long long>(event.duration_ns % 1000));
-      os << "{\"name\":\"";
-      StreamJsonEscaped(os, event.name);
-      os << "\",\"cat\":\"ode\""
+      // Span names are literals by convention, but the export stays
+      // valid JSON even when one carries a quote or control byte.
+      name.clear();
+      AppendJsonEscaped(&name, event.name);
+      os << "{\"name\":\"" << name << "\",\"cat\":\"ode\""
          << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << event.thread_id
          << ",\"ts\":" << ts << ",\"dur\":" << dur
          << ",\"args\":{\"depth\":" << event.depth
          << ",\"trace\":" << event.trace_id << ",\"span\":" << event.span_id
          << ",\"parent\":" << event.parent_id << "}}";
-    }
+    });
   }
   os << "]}";
   return os.str();
@@ -291,8 +247,8 @@ TraceSpan::TraceSpan(const char* name) {
   span_id_ = NextCausalId();
   tls_context = TraceContext{trace_id_, span_id_};
   ThreadBuffer& buffer = LocalBuffer();
+  buffer.last_activity_ns.store(start_ns_, std::memory_order_relaxed);
   MutexLock lock(buffer.mu);
-  buffer.last_activity_ns = start_ns_;
   if (buffer.open_count < kMaxOpenSpans) {
     OpenSpanInfo& info = buffer.open[buffer.open_count++];
     info.name = name_;

@@ -74,10 +74,9 @@ struct OpenSpanInfo {
 };
 
 /// Process-wide tracing control. Spans are collected into per-thread
-/// ring buffers (each guarded by its own — effectively uncontended —
-/// mutex, so collection is TSan-clean even while another thread
-/// exports). Tracing is disabled by default: a span on a disabled
-/// process costs one relaxed atomic load.
+/// `obs::Ring` buffers of 8192 events (lock-free, so collection never
+/// waits on an export). Tracing is disabled by default: a span on a
+/// disabled process costs one relaxed atomic load.
 class Tracing {
  public:
   static void Enable() { enabled_.store(true, std::memory_order_relaxed); }
@@ -86,9 +85,10 @@ class Tracing {
 
   /// Events currently retained across all thread buffers.
   static size_t CapturedCount();
-  /// Events overwritten because a ring buffer wrapped.
+  /// Events lost because a ring buffer wrapped (oldest overwritten).
   static uint64_t DroppedCount();
-  /// Drops every retained event (buffers stay registered).
+  /// Drops every retained event (buffers stay registered). Spans
+  /// closing meanwhile may be miscounted (see `Ring::Clear`).
   static void Clear();
 
   /// Chrome `trace_event` JSON (the "traceEvents" array format):
@@ -98,8 +98,8 @@ class Tracing {
   /// be rebuilt from the export.
   static std::string ExportChromeJson();
 
-  /// All retained events (export order). Test hook: assertions on
-  /// parent links are easier on structs than on JSON.
+  /// All retained events, oldest first per thread. Test hook:
+  /// assertions on parent links are easier on structs than on JSON.
   static std::vector<TraceEvent> SnapshotEvents();
 
   /// Spans currently open across all threads (watchdog data source).

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/strings.h"
 #include "odb/exec/compiled_predicate.h"
 #include "odb/predicate.h"
 
@@ -17,36 +18,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::string EscapeJson(std::string_view in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string FormatMs(uint64_t ns) {
@@ -90,14 +61,20 @@ void RenderNodeText(std::ostringstream& os, const PlanNode& node, int depth) {
 }
 
 void RenderNodeJson(std::ostringstream& os, const PlanNode& node) {
-  os << "{\"op\":\"" << EscapeJson(node.op) << "\",\"props\":{";
+  std::string head = "{\"op\":\"";
+  AppendJsonEscaped(&head, node.op);
+  head += "\",\"props\":{";
   bool first = true;
   for (const auto& [key, value] : node.props) {
-    if (!first) os << ",";
+    if (!first) head += ",";
     first = false;
-    os << "\"" << EscapeJson(key) << "\":\"" << EscapeJson(value) << "\"";
+    head += "\"";
+    AppendJsonEscaped(&head, key);
+    head += "\":\"";
+    AppendJsonEscaped(&head, value);
+    head += "\"";
   }
-  os << "}";
+  os << head << "}";
   if (node.analyzed) {
     os << ",\"time_ns\":" << node.time_ns << ",\"rows\":" << node.rows_out
        << ",\"actual\":{";

@@ -389,10 +389,12 @@ Status HeapFile::ReadRunLocked(Iter it, Iter end, size_t limit,
         AppendRecordLocked(it->first, it->second, &handle, &held, arena));
     spans->push_back(RecordSpan{it->first, offset, length});
   }
-  // The heap's one read-ahead site: warm the page the record after the
-  // batch lives on. A limit-1 batch is a point lookup, not a scan — the
-  // policy keeps those out of the prefetch queue.
-  if (it != end && it->second.page != held) {
+  // The heap's one read-ahead site: warm the first page after the one
+  // the batch ended on (the rest of that page is already resident). A
+  // limit-1 batch is a point lookup, not a scan — the policy keeps those
+  // out of the prefetch queue.
+  while (it != end && it->second.page == held) ++it;
+  if (it != end) {
     pool_->ReadAhead(it->second.page, /*point_lookup=*/limit == 1);
   }
   HeapBatchRecords().Add(spans->size());

@@ -242,6 +242,27 @@ TEST(StringsTest, WrapTextHardBreaksLongWords) {
   EXPECT_EQ(lines[0], "abcd");
 }
 
+TEST(StringsTest, AppendJsonEscapedTable) {
+  struct Case {
+    std::string_view in;
+    std::string_view out;
+  };
+  const Case cases[] = {
+      {"plain", "plain"},
+      {"", ""},
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"back\\slash", "back\\\\slash"},
+      {"a\nb\rc\td", "a\\nb\\rc\\td"},
+      {std::string_view("\0\x01\x1f", 3), "\\u0000\\u0001\\u001f"},
+      {"\x7f \xc3\xa9", "\x7f \xc3\xa9"},  // DEL and UTF-8 pass through
+  };
+  for (const Case& c : cases) {
+    std::string out = "[";
+    AppendJsonEscaped(&out, c.in);
+    EXPECT_EQ(out, "[" + std::string(c.out)) << "input: " << c.in;
+  }
+}
+
 TEST(StringsTest, WrapTextHonorsNewlines) {
   std::vector<std::string> lines = WrapText("a\n\nb", 10);
   ASSERT_EQ(lines.size(), 3u);

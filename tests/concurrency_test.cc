@@ -25,6 +25,7 @@
 #include "common/timeseries.h"
 #include "common/metrics.h"
 #include "common/op_profile.h"
+#include "common/ring.h"
 #include "common/telemetry_http.h"
 #include "common/trace.h"
 #include "common/watchdog.h"
@@ -614,6 +615,66 @@ TEST(ObsStressTest, JournalConcurrentWritersAndWrap) {
     EXPECT_LE(tail.back().seq, journal.appended());
     EXPECT_GE(tail.back().seq + journal.capacity(), journal.appended());
   }
+}
+
+// The one ring every observability tail is built on, with eight
+// producers racing a snapshot reader on a ring small enough to wrap
+// (and to lose claim races) constantly. Each payload carries three
+// fields derived from one value, so a torn read shows as a mismatch;
+// each snapshot must be a strictly ascending run of push numbers; and
+// once producers stop, every push is accounted for exactly once.
+TEST(RingStressTest, ProducersAgainstSnapshotReader) {
+  struct Payload {
+    uint64_t seq;
+    uint64_t value;
+    uint64_t doubled;
+    uint64_t inverted;
+  };
+  obs::Ring<Payload> ring(/*capacity=*/64);
+  constexpr uint64_t kPushesPerThread = 20000;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> snapshots{0};
+
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::vector<Payload> records = ring.Snapshot();
+      EXPECT_LE(records.size(), ring.capacity());
+      for (size_t i = 0; i < records.size(); ++i) {
+        const Payload& p = records[i];
+        EXPECT_EQ(p.doubled, p.value * 2);
+        EXPECT_EQ(p.inverted, ~p.value);
+        if (i > 0) {
+          EXPECT_LT(records[i - 1].seq, p.seq);
+        }
+      }
+      snapshots.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&ring, t] {
+      for (uint64_t i = 0; i < kPushesPerThread; ++i) {
+        uint64_t value = (static_cast<uint64_t>(t) << 32) | i;
+        ring.Push(Payload{0, value, value * 2, ~value});
+      }
+    });
+  }
+  for (std::thread& p : producers) p.join();
+  while (snapshots.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  const uint64_t total = static_cast<uint64_t>(kThreads) * kPushesPerThread;
+  std::vector<Payload> retained = ring.Snapshot();
+  EXPECT_EQ(ring.appended(), total);
+  EXPECT_EQ(ring.appended(),
+            retained.size() + ring.overwritten() + ring.dropped());
+  EXPECT_EQ(retained.size(), ring.size());
+  ASSERT_FALSE(retained.empty());
+  EXPECT_EQ(retained.back().seq, total);
 }
 
 // --- Lock-rank validator under the full engine ------------------------

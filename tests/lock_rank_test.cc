@@ -50,9 +50,9 @@ const std::vector<LockRank>& AllRanks() {
       LockRank::kBackgroundWorker, LockRank::kWatchdogScan,
       LockRank::kWatchdogWake,    LockRank::kWatchdogRefresh,
       LockRank::kTimeSeries,      LockRank::kAccessCapture,
-      LockRank::kSessionRegistry, LockRank::kSlowOpLog,
-      LockRank::kMetricsRegistry, LockRank::kTraceDirectory,
-      LockRank::kTraceBuffer,     LockRank::kJournalIntern,
+      LockRank::kSessionRegistry, LockRank::kMetricsRegistry,
+      LockRank::kTraceDirectory,  LockRank::kTraceBuffer,
+      LockRank::kJournalIntern,
   };
   return *ranks;
 }

@@ -1,6 +1,7 @@
 // Tests for the ode::obs observability subsystem: the metrics
 // registry (counters, gauges, log-bucketed histograms, owned
-// instruments, exports) and the tracing spans / Chrome trace export.
+// instruments, exports), the tracing spans / Chrome trace export, and
+// the `obs::Ring` every bounded observability tail is built on.
 //
 // Metric names use an "obs_test." prefix: the registry is a leaked
 // process-wide singleton shared with every other test in this binary,
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/ring.h"
 #include "common/trace.h"
 
 namespace ode::obs {
@@ -275,6 +277,122 @@ TEST_F(TracingTest, ClearDropsRetainedEvents) {
   ASSERT_GT(Tracing::CapturedCount(), 0u);
   Tracing::Clear();
   EXPECT_EQ(Tracing::CapturedCount(), 0u);
+}
+
+TEST_F(TracingTest, WrappedBufferSnapshotsNewestOldestFirst) {
+  constexpr uint64_t kCapacity = 8192;  // per-thread trace buffer
+  constexpr uint64_t kExtra = 10;
+  for (uint64_t i = 1; i <= kCapacity + kExtra; ++i) {
+    Tracing::Record("obs_test.wrap", /*start_ns=*/i, /*duration_ns=*/1,
+                    /*depth=*/0, /*trace_id=*/1, /*span_id=*/i,
+                    /*parent_id=*/0);
+  }
+  std::vector<uint64_t> starts;
+  for (const TraceEvent& event : Tracing::SnapshotEvents()) {
+    if (std::string_view(event.name) == "obs_test.wrap") {
+      starts.push_back(event.start_ns);
+    }
+  }
+  ASSERT_EQ(starts.size(), kCapacity);
+  for (size_t i = 0; i < starts.size(); ++i) {
+    ASSERT_EQ(starts[i], kExtra + 1 + i) << "at position " << i;
+  }
+  EXPECT_EQ(Tracing::DroppedCount(), kExtra);
+}
+
+// --- obs::Ring ---------------------------------------------------------
+
+/// Two fields derived from one value, so a torn copy is detectable.
+struct Tagged {
+  uint64_t seq = 0;  // stamped by the ring on every read
+  uint64_t value = 0;
+  uint64_t check = 0;  // ~value
+};
+
+Tagged MakeTagged(uint64_t value) { return Tagged{0, value, ~value}; }
+
+std::vector<uint64_t> Values(const Ring<Tagged>& ring) {
+  std::vector<uint64_t> out;
+  for (const Tagged& t : ring.Snapshot()) out.push_back(t.value);
+  return out;
+}
+
+TEST(RingTest, KeepsExactlyItsCapacity) {
+  EXPECT_EQ(Ring<Tagged>(5).capacity(), 5u);
+  EXPECT_EQ(Ring<Tagged>(0).capacity(), 1u);
+  Ring<Tagged> ring(5);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  for (uint64_t v = 1; v <= 3; ++v) {
+    EXPECT_EQ(ring.Push(MakeTagged(v)), RingPush::kStored);
+  }
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(Values(ring), (std::vector<uint64_t>{1, 2, 3}));
+}
+
+TEST(RingTest, WrapKeepsNewestOldestFirstAndCountsOverwrites) {
+  Ring<Tagged> ring(5);
+  for (uint64_t v = 1; v <= 5; ++v) {
+    EXPECT_EQ(ring.Push(MakeTagged(v)), RingPush::kStored);
+  }
+  for (uint64_t v = 6; v <= 12; ++v) {
+    EXPECT_EQ(ring.Push(MakeTagged(v)), RingPush::kOverwrote);
+  }
+  EXPECT_EQ(ring.appended(), 12u);
+  EXPECT_EQ(ring.overwritten(), 7u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  EXPECT_EQ(ring.size(), 5u);
+  std::vector<Tagged> records = ring.Snapshot();
+  ASSERT_EQ(records.size(), 5u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].value, 8 + i);
+    EXPECT_EQ(records[i].seq, 8 + i);  // the push number is stamped in
+  }
+  Tagged out;
+  EXPECT_FALSE(ring.Read(7, &out));  // overwritten
+  ASSERT_TRUE(ring.Read(9, &out));
+  EXPECT_EQ(out.value, 9u);
+  EXPECT_EQ(out.seq, 9u);
+  EXPECT_FALSE(ring.Read(13, &out));  // not pushed yet
+  EXPECT_FALSE(ring.Read(0, &out));
+}
+
+TEST(RingTest, VisitNewestWalksTheTailOldestFirst) {
+  Ring<Tagged> ring(8);
+  for (uint64_t v = 1; v <= 20; ++v) ring.Push(MakeTagged(v * 10));
+  std::vector<uint64_t> seqs, values;
+  ring.VisitNewest(3, [&](uint64_t seq, const Tagged& t) {
+    seqs.push_back(seq);
+    values.push_back(t.value);
+  });
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{18, 19, 20}));
+  EXPECT_EQ(values, (std::vector<uint64_t>{180, 190, 200}));
+  // Asking for more than the ring holds visits only what it holds.
+  size_t visited = 0;
+  ring.VisitNewest(100, [&](uint64_t, const Tagged&) { ++visited; });
+  EXPECT_EQ(visited, 8u);
+}
+
+TEST(RingTest, ClearForgetsRecordsAndRestartsNumbering) {
+  Ring<Tagged> ring(4);
+  for (uint64_t v = 1; v <= 6; ++v) ring.Push(MakeTagged(v));
+  ASSERT_EQ(ring.overwritten(), 2u);
+  ring.Clear();
+  EXPECT_EQ(ring.appended(), 0u);
+  EXPECT_EQ(ring.overwritten(), 0u);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  // Cleared slots are reused without counting an overwrite, and
+  // numbering starts again at 1.
+  EXPECT_EQ(ring.Push(MakeTagged(100)), RingPush::kStored);
+  EXPECT_EQ(ring.Push(MakeTagged(101)), RingPush::kStored);
+  std::vector<Tagged> records = ring.Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].seq, 1u);
+  EXPECT_EQ(records[0].value, 100u);
+  EXPECT_EQ(records[1].seq, 2u);
+  for (uint64_t v = 102; v <= 105; ++v) ring.Push(MakeTagged(v));
+  EXPECT_EQ(ring.overwritten(), 2u);
+  EXPECT_EQ(Values(ring), (std::vector<uint64_t>{102, 103, 104, 105}));
 }
 
 }  // namespace

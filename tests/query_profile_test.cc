@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -450,6 +451,46 @@ TEST(PrefetchProfileTest, LateReadAheadBillsTheOpWithoutOutlivingIt) {
   EXPECT_EQ(after.prefetches - before.prefetches, 3u);
   EXPECT_EQ(after.lookups - before.lookups,
             session.entry()->totals().Snapshot().pool_lookups - billed_before);
+}
+
+// A scan batch that ends part-way through a page reads ahead the first
+// page after that one: the rest of its own page is already resident.
+// 3000 employees hold many records per page and far outgrow a 16-frame
+// pool, so each Select's 1024-record batches end mid-page with cold
+// pages ahead of them.
+TEST(PrefetchProfileTest, BatchEndingMidPageReadsAheadTheNextPage) {
+  // Per-process name: ctest also runs this case from a second entry.
+  const std::string path = testing::TempDir() + "/ode_midpage_readahead_" +
+                           std::to_string(::getpid()) + ".db";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  {
+    DatabaseOptions load;
+    load.wal_sync = false;
+    auto created = Database::CreateOnDisk(path, "lab", load);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    LabDbConfig config;
+    config.employees = 3000;
+    ASSERT_TRUE(BuildLabDatabase(created->get(), config).ok());
+  }
+  DatabaseOptions options;
+  options.buffer_pool_pages = 16;
+  options.wal_sync = false;
+  auto opened = Database::OpenOnDisk(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  BufferPool* pool = db->buffer_pool();
+  pool->SetReadAheadPolicy(ReadAheadPolicy::kSequential);
+  Session session = db->OpenSession();
+  Predicate predicate = *ParsePredicate("age > 40");
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(session.Select("employee", predicate).ok());
+  }
+  pool->WaitForPrefetches();
+  EXPECT_GT(pool->stats().prefetches, 0u);
+  db.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 // --- Session accounting ----------------------------------------------
