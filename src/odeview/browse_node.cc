@@ -548,9 +548,15 @@ Status BrowseNode::RenderFormat(const std::string& format) {
   const std::vector<std::string>& attributes =
       attrs.ok() ? *attrs : kNoAttrs;
   DisplayDispatches().Increment();
-  obs::Registry::Global()
-      .counter("display.dispatch." + actual_class)
-      ->Increment();
+  auto counter = dispatch_counters_.find(actual_class);
+  if (counter == dispatch_counters_.end()) {
+    counter = dispatch_counters_
+                  .emplace(actual_class,
+                           obs::Registry::Global().counter(
+                               "display.dispatch." + actual_class))
+                  .first;
+  }
+  counter->second->Increment();
   Result<dynlink::DisplayResources> resources =
       (*fn)(*current_, attributes, state()->projection_mask);
   if (!resources.ok()) {

@@ -16,6 +16,10 @@
 #include "odeview/display_state.h"
 #include "owl/server.h"
 
+namespace ode::obs {
+class Counter;
+}  // namespace ode::obs
+
 namespace ode::view {
 
 /// Services a browse tree needs; owned by the DbInteractor.
@@ -218,6 +222,9 @@ class BrowseNode {
   owl::WindowId panel_window_ = owl::kNoWindow;
   owl::WindowId versions_window_ = owl::kNoWindow;
   std::map<std::string, owl::WindowId> display_windows_;  // format -> id
+  /// `display.dispatch.<class>` per class rendered here, resolved once
+  /// so a render does not build the name or take the registry lock.
+  std::map<std::string, obs::Counter*, std::less<>> dispatch_counters_;
 
   bool faulted_ = false;
   std::string fault_message_;

@@ -19,6 +19,7 @@ DagView::DagView(std::string name, dag::Digraph graph,
 }
 
 Status DagView::Relayout() {
+  raster_.clear();
   dag::LayoutOptions options;
   if (zoom_ == 1) {
     options.fixed_node_width = 6;
@@ -78,7 +79,8 @@ std::string DagView::ClassAt(owl::Point local) const {
   return std::string();
 }
 
-std::vector<std::string> DagView::RenderLines() const {
+const std::vector<std::string>& DagView::RenderLines() const {
+  if (!raster_.empty()) return raster_;
   owl::Framebuffer fb(std::max(1, layout_.width),
                       std::max(1, layout_.height));
   // Edges first, nodes on top.
@@ -114,14 +116,13 @@ std::vector<std::string> DagView::RenderLines() const {
     }
     fb.DrawText(placed.x, placed.y, boxed);
   }
-  std::vector<std::string> lines;
-  lines.reserve(static_cast<size_t>(fb.height()));
-  for (int y = 0; y < fb.height(); ++y) lines.push_back(fb.Row(y));
-  return lines;
+  raster_.reserve(static_cast<size_t>(fb.height()));
+  for (int y = 0; y < fb.height(); ++y) raster_.push_back(fb.Row(y));
+  return raster_;
 }
 
 void DagView::RenderSelf(owl::Framebuffer* fb, owl::Point origin) const {
-  std::vector<std::string> lines = RenderLines();
+  const std::vector<std::string>& lines = RenderLines();
   for (int y = 0; y < rect().height; ++y) {
     size_t row = static_cast<size_t>(y + scroll_.y);
     if (row >= lines.size()) break;

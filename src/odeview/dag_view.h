@@ -31,14 +31,16 @@ class DagView : public owl::Widget {
 
   std::string_view TypeName() const override { return "dagview"; }
 
-  /// Recomputes the layout (called on construction and zoom change).
+  /// Recomputes the layout (called on construction and zoom change)
+  /// and drops the retained raster.
   Status Relayout();
 
   int zoom() const { return zoom_; }
   Status ZoomIn();   ///< more detail (lower zoom number)
   Status ZoomOut();  ///< less detail
 
-  /// Scrolling offset over the (possibly large) diagram.
+  /// Scrolling offset over the (possibly large) diagram. Scrolling and
+  /// resizing only move the viewport over the retained raster.
   void ScrollBy(int dx, int dy);
   owl::Point scroll() const { return scroll_; }
 
@@ -48,8 +50,11 @@ class DagView : public owl::Widget {
   /// The class at a widget-local position, empty when none.
   std::string ClassAt(owl::Point local) const;
 
-  /// Full rendering of the diagram (unclipped), for tests/examples.
-  std::vector<std::string> RenderLines() const;
+  /// Full rendering of the diagram (unclipped), one string per row.
+  /// Rasterized on first use after construction or `Relayout()` and
+  /// retained until the next `Relayout()`, so a render copies only the
+  /// viewport slice.
+  const std::vector<std::string>& RenderLines() const;
 
  protected:
   void RenderSelf(owl::Framebuffer* fb, owl::Point origin) const override;
@@ -66,6 +71,9 @@ class DagView : public owl::Widget {
   dag::DagLayout layout_;
   int zoom_ = 0;
   owl::Point scroll_;
+  /// The retained raster of `layout_` at `zoom_`; empty when stale (a
+  /// built raster always has at least one row).
+  mutable std::vector<std::string> raster_;
 };
 
 }  // namespace ode::view

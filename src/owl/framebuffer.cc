@@ -1,8 +1,19 @@
 #include "owl/framebuffer.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 namespace ode::owl {
+
+namespace {
+/// The part of the run [start, start + length) inside [0, limit), as
+/// [begin, end); empty (begin >= end) when none of it is.
+std::pair<int64_t, int64_t> Clip(int start, int64_t length, int limit) {
+  return {std::max<int64_t>(start, 0),
+          std::min<int64_t>(int64_t{start} + length, limit)};
+}
+}  // namespace
 
 Framebuffer::Framebuffer(int width, int height)
     : width_(std::max(0, width)),
@@ -16,28 +27,36 @@ void Framebuffer::Clear(char fill) {
 
 void Framebuffer::Put(int x, int y, char c) {
   if (x < 0 || y < 0 || x >= width_ || y >= height_) return;
-  cells_[static_cast<size_t>(y) * static_cast<size_t>(width_) +
-         static_cast<size_t>(x)] = c;
+  cells_[CellIndex(x, y)] = c;
 }
 
 char Framebuffer::At(int x, int y) const {
   if (x < 0 || y < 0 || x >= width_ || y >= height_) return ' ';
-  return cells_[static_cast<size_t>(y) * static_cast<size_t>(width_) +
-                static_cast<size_t>(x)];
+  return cells_[CellIndex(x, y)];
 }
 
 void Framebuffer::DrawText(int x, int y, std::string_view text) {
-  for (size_t i = 0; i < text.size(); ++i) {
-    Put(x + static_cast<int>(i), y, text[i]);
-  }
+  if (y < 0 || y >= height_) return;
+  auto [begin, end] = Clip(x, static_cast<int64_t>(text.size()), width_);
+  if (begin >= end) return;
+  std::copy(text.begin() + (begin - x), text.begin() + (end - x),
+            cells_.data() + CellIndex(0, y) + begin);
 }
 
 void Framebuffer::DrawHLine(int x, int y, int length, char c) {
-  for (int i = 0; i < length; ++i) Put(x + i, y, c);
+  if (y < 0 || y >= height_) return;
+  auto [begin, end] = Clip(x, length, width_);
+  if (begin >= end) return;
+  char* row = cells_.data() + CellIndex(0, y);
+  std::fill(row + begin, row + end, c);
 }
 
 void Framebuffer::DrawVLine(int x, int y, int length, char c) {
-  for (int i = 0; i < length; ++i) Put(x, y + i, c);
+  if (x < 0 || x >= width_) return;
+  auto [begin, end] = Clip(y, length, height_);
+  for (int64_t row = begin; row < end; ++row) {
+    cells_[CellIndex(x, static_cast<int>(row))] = c;
+  }
 }
 
 void Framebuffer::DrawBox(const Rect& rect) {
@@ -53,8 +72,12 @@ void Framebuffer::DrawBox(const Rect& rect) {
 }
 
 void Framebuffer::FillRect(const Rect& rect, char c) {
-  for (int y = rect.y; y < rect.bottom(); ++y) {
-    for (int x = rect.x; x < rect.right(); ++x) Put(x, y, c);
+  auto [begin, end] = Clip(rect.x, rect.width, width_);
+  if (begin >= end) return;
+  auto [top, bottom] = Clip(rect.y, rect.height, height_);
+  for (int64_t y = top; y < bottom; ++y) {
+    char* row = cells_.data() + CellIndex(0, static_cast<int>(y));
+    std::fill(row + begin, row + end, c);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef ODEVIEW_OWL_FRAMEBUFFER_H_
 #define ODEVIEW_OWL_FRAMEBUFFER_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +13,11 @@ namespace ode::owl {
 
 /// A character-cell frame buffer the headless server composes windows
 /// into. Tests and examples assert on / print its `ToString()`.
+///
+/// Every draw clips to the buffer: cells outside it are dropped, so any
+/// coordinates and lengths are safe. Text, horizontal runs and filled
+/// rectangles clip once per row and write the visible run in one copy
+/// or fill, not cell by cell.
 class Framebuffer {
  public:
   Framebuffer(int width, int height);
@@ -51,6 +57,11 @@ class Framebuffer {
   std::string Row(int y) const;
 
  private:
+  size_t CellIndex(int x, int y) const {
+    return static_cast<size_t>(y) * static_cast<size_t>(width_) +
+           static_cast<size_t>(x);
+  }
+
   int width_;
   int height_;
   std::vector<char> cells_;

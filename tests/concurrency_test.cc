@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -471,14 +472,37 @@ TEST(ScalingTest, ParallelScanThroughput) {
 // threads churn owned instruments (exercising the retiring deleters),
 // and a reader thread concurrently snapshots and renders every export
 // format. TSan is the real assertion here; the tallies at the end catch
-// lost updates.
+// lost updates. The instruments are process-global, so the tallies are
+// deltas from a reading taken at the start and the test can be repeated
+// (`--gtest_repeat`) in one process.
 TEST(ObsStressTest, MetricsAndSpansUnderConcurrentExport) {
   obs::Registry& registry = obs::Registry::Global();
   obs::Counter* shared_counter =
       registry.counter("concurrency_test.obs.counter");
   obs::Histogram* shared_hist =
       registry.histogram("concurrency_test.obs.hist");
+  // The owned instruments' exported totals (live + retired), 0 before
+  // their first registration.
+  auto owned_totals = [&registry] {
+    std::pair<uint64_t, uint64_t> totals{0, 0};
+    for (const obs::MetricSample& s : registry.Snapshot()) {
+      if (s.name == "concurrency_test.obs.owned") {
+        totals.first = static_cast<uint64_t>(s.value);
+      }
+      if (s.name == "concurrency_test.obs.owned_hist") {
+        totals.second = s.count;
+      }
+    }
+    return totals;
+  };
+  auto spans_accounted = [] {
+    return obs::Tracing::CapturedCount() + obs::Tracing::DroppedCount();
+  };
   obs::Tracing::Clear();
+  const uint64_t counter_before = shared_counter->value();
+  const uint64_t hist_before = shared_hist->count();
+  const auto [owned_before, owned_hist_before] = owned_totals();
+  const uint64_t spans_before = spans_accounted();
   obs::Tracing::Enable();
   // Run the whole stress with the flight recorder live: a fast-scan
   // watchdog reading open spans and journal appends racing the span
@@ -546,25 +570,16 @@ TEST(ObsStressTest, MetricsAndSpansUnderConcurrentExport) {
   stress_watchdog.Stop();
   obs::Tracing::Disable();
 
-  EXPECT_EQ(shared_counter->value(),
+  EXPECT_EQ(shared_counter->value() - counter_before,
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(shared_hist->count(),
+  EXPECT_EQ(shared_hist->count() - hist_before,
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
   // Every owned bump must be visible post-retirement (all owners died).
-  uint64_t exported = 0;
-  uint64_t exported_hist_count = 0;
-  for (const obs::MetricSample& s : registry.Snapshot()) {
-    if (s.name == "concurrency_test.obs.owned") {
-      exported = static_cast<uint64_t>(s.value);
-    }
-    if (s.name == "concurrency_test.obs.owned_hist") {
-      exported_hist_count = s.count;
-    }
-  }
-  EXPECT_EQ(exported, owned_total.load());
-  EXPECT_EQ(exported_hist_count, 2u * kOwnerRounds);
+  const auto [owned_after, owned_hist_after] = owned_totals();
+  EXPECT_EQ(owned_after - owned_before, owned_total.load());
+  EXPECT_EQ(owned_hist_after - owned_hist_before, 2u * kOwnerRounds);
   // Spans either landed in a ring buffer or were counted as dropped.
-  EXPECT_EQ(obs::Tracing::CapturedCount() + obs::Tracing::DroppedCount(),
+  EXPECT_EQ(spans_accounted() - spans_before,
             static_cast<size_t>(kThreads) * kOpsPerThread);
   obs::Tracing::Clear();
 }

@@ -4,11 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/metrics.h"
 #include "dynlink/lab_modules.h"
 #include "odb/labdb.h"
 #include "odeview/app.h"
 #include "odeview/dag_view.h"
 #include "odeview/display_state.h"
+#include "owl/framebuffer.h"
 #include "owl/widgets.h"
 
 namespace ode::view {
@@ -122,6 +130,83 @@ TEST(DagViewTest, ZoomLevelsShrinkRendering) {
   EXPECT_EQ(view.ClassAt(owl::Point{placed.x, placed.y}), "base");
 }
 
+// A 40-class DAG, wider and taller than the viewports below at every
+// zoom, with long names so zoom levels differ in width.
+dag::Digraph WideGraph() {
+  std::mt19937 rng(2024);
+  std::vector<std::pair<std::string, std::string>> edges;
+  for (int node = 1; node < 40; ++node) {
+    std::string name = "class_number_" + std::to_string(node);
+    int parents = 1 + static_cast<int>(rng() % 2);
+    for (int p = 0; p < parents; ++p) {
+      int base = static_cast<int>(rng() % static_cast<unsigned>(node));
+      edges.emplace_back("class_number_" + std::to_string(base), name);
+    }
+  }
+  return dag::Digraph::FromEdges(edges);
+}
+
+// The viewport slice [scroll.y, +height) x [scroll.x, +width) of
+// `lines`, blank-padded to the viewport, as a framebuffer would show it.
+std::string ViewportSlice(const std::vector<std::string>& lines,
+                          owl::Point scroll, int width, int height) {
+  std::string out;
+  for (int y = 0; y < height; ++y) {
+    std::string row;
+    size_t line = static_cast<size_t>(scroll.y + y);
+    if (line < lines.size() &&
+        static_cast<size_t>(scroll.x) < lines[line].size()) {
+      row = lines[line].substr(static_cast<size_t>(scroll.x),
+                               static_cast<size_t>(width));
+    }
+    row.resize(static_cast<size_t>(width), ' ');
+    out += row + "\n";
+  }
+  return out;
+}
+
+// The retained raster is only moved by scrolling and resizing and is
+// rebuilt on zoom: after every step of a seeded zoom/scroll/resize walk
+// the rendered viewport equals the same slice of a freshly built view.
+TEST(DagViewTest, RetainedRasterMatchesFreshViewAfterEveryStep) {
+  DagView view("dag", WideGraph());
+  view.set_rect(owl::Rect{0, 0, 30, 12});
+  std::mt19937 rng(77);
+  for (int step = 0; step < 300; ++step) {
+    switch (rng() % 4) {
+      case 0:
+        ASSERT_TRUE(view.ZoomOut().ok());
+        break;
+      case 1:
+        ASSERT_TRUE(view.ZoomIn().ok());
+        break;
+      case 2:
+        view.ScrollBy(static_cast<int>(rng() % 41) - 20,
+                      static_cast<int>(rng() % 21) - 10);
+        break;
+      default:
+        view.set_rect(owl::Rect{static_cast<int>(rng() % 5),
+                                static_cast<int>(rng() % 5),
+                                1 + static_cast<int>(rng() % 60),
+                                1 + static_cast<int>(rng() % 25)});
+        break;
+    }
+    DagView fresh("dag", WideGraph());
+    for (int z = 0; z < view.zoom(); ++z) ASSERT_TRUE(fresh.ZoomOut().ok());
+    ASSERT_EQ(fresh.zoom(), view.zoom());
+
+    const owl::Rect& rect = view.rect();
+    owl::Framebuffer fb(rect.width, rect.height);
+    view.Render(&fb, owl::Point{0, 0});
+    ASSERT_EQ(fb.ToString(), ViewportSlice(fresh.RenderLines(),
+                                           view.scroll(), rect.width,
+                                           rect.height))
+        << "step " << step << " zoom " << view.zoom() << " scroll "
+        << view.scroll().x << "," << view.scroll().y << " rect "
+        << rect.ToString();
+  }
+}
+
 // --- Versions window + project button ------------------------------------------
 
 class WidgetSession : public ::testing::Test {
@@ -191,6 +276,47 @@ TEST_F(WidgetSession, ProjectButtonOpensDialog) {
                   ->ClickWidget(node->panel_window(), "project")
                   .ok());
   EXPECT_NE(interactor_->projection_dialog("employee"), owl::kNoWindow);
+}
+
+// Each render bumps `display.dispatch.<class>` once for the rendered
+// object's class. The node resolves that counter once per class, so the
+// count must still match a tally kept by the display functions.
+TEST_F(WidgetSession, PerClassDispatchCounterCountsEveryRender) {
+  std::map<std::string, uint64_t> renders;
+  for (const char* cls : {"employee", "manager", "department"}) {
+    const dynlink::DisplayModule* module =
+        *app_->repository()->Find("lab", cls, "text");
+    dynlink::DisplayFunction inner = module->function;
+    ASSERT_TRUE(app_->repository()
+                    ->Register(dynlink::DisplayModule{
+                        "lab", cls, "text",
+                        [inner, &renders](const odb::ObjectBuffer& object,
+                                          const std::vector<std::string>& a,
+                                          const std::vector<bool>& mask) {
+                          ++renders[object.class_name];
+                          return inner(object, a, mask);
+                        },
+                        module->code_size})
+                    .ok());
+  }
+  auto dispatched = [](const std::string& cls) {
+    return obs::Registry::Global().counter("display.dispatch." + cls)->value();
+  };
+  const uint64_t employee_before = dispatched("employee");
+  const uint64_t department_before = dispatched("department");
+
+  BrowseNode* node = *interactor_->OpenObjectSet("employee");
+  ASSERT_TRUE(node->Next().ok());
+  ASSERT_TRUE(node->ToggleFormat("text").ok());
+  BrowseNode* dept = *node->FollowReference("dept");
+  ASSERT_TRUE(dept->ToggleFormat("text").ok());
+  for (int step = 0; step < 3; ++step) ASSERT_TRUE(node->Next().ok());
+
+  EXPECT_GE(renders["employee"], 4u);
+  EXPECT_GE(renders["department"], 4u);
+  EXPECT_EQ(dispatched("employee") - employee_before, renders["employee"]);
+  EXPECT_EQ(dispatched("department") - department_before,
+            renders["department"]);
 }
 
 }  // namespace

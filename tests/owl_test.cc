@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <string_view>
+
 #include "owl/bitmap.h"
 #include "owl/framebuffer.h"
 #include "owl/server.h"
@@ -167,6 +172,102 @@ TEST(FramebufferTest, FillAndBitmap) {
 TEST(FramebufferTest, ToStringIsRectangular) {
   Framebuffer fb(3, 2);
   EXPECT_EQ(fb.ToString(), "   \n   \n");
+}
+
+// The draw kernels write clipped runs; this reference spells each draw
+// as the per-cell Put loop it must equal, cell for cell.
+class PutReference {
+ public:
+  PutReference(int width, int height) : fb_(width, height) {}
+  const Framebuffer& fb() const { return fb_; }
+
+  void DrawText(int x, int y, std::string_view text) {
+    for (size_t i = 0; i < text.size(); ++i) {
+      fb_.Put(x + static_cast<int>(i), y, text[i]);
+    }
+  }
+  void DrawHLine(int x, int y, int length, char c) {
+    for (int i = 0; i < length; ++i) fb_.Put(x + i, y, c);
+  }
+  void DrawVLine(int x, int y, int length, char c) {
+    for (int i = 0; i < length; ++i) fb_.Put(x, y + i, c);
+  }
+  void FillRect(const Rect& rect, char c) {
+    for (int y = rect.y; y < rect.bottom(); ++y) {
+      for (int x = rect.x; x < rect.right(); ++x) fb_.Put(x, y, c);
+    }
+  }
+  void DrawBox(const Rect& rect) {
+    if (rect.width < 2 || rect.height < 2) return;
+    DrawHLine(rect.x + 1, rect.y, rect.width - 2, '-');
+    DrawHLine(rect.x + 1, rect.bottom() - 1, rect.width - 2, '-');
+    DrawVLine(rect.x, rect.y + 1, rect.height - 2, '|');
+    DrawVLine(rect.right() - 1, rect.y + 1, rect.height - 2, '|');
+    fb_.Put(rect.x, rect.y, '+');
+    fb_.Put(rect.right() - 1, rect.y, '+');
+    fb_.Put(rect.x, rect.bottom() - 1, '+');
+    fb_.Put(rect.right() - 1, rect.bottom() - 1, '+');
+  }
+
+ private:
+  Framebuffer fb_;
+};
+
+TEST(FramebufferTest, RunKernelsMatchPerCellReference) {
+  const Size sizes[] = {{0, 0}, {1, 1}, {13, 7}, {40, 3}, {3, 40}};
+  for (const Size& size : sizes) {
+    std::mt19937 rng(1234u + static_cast<unsigned>(size.width * 100 +
+                                                   size.height));
+    // Coordinates from well before either edge to well past it, lengths
+    // from negative through zero to longer than the buffer.
+    auto coord = [&](int extent) {
+      return std::uniform_int_distribution<int>(-20, extent + 20)(rng);
+    };
+    auto length = [&] {
+      return std::uniform_int_distribution<int>(-5, 60)(rng);
+    };
+    auto glyph = [&] {
+      return static_cast<char>(
+          std::uniform_int_distribution<int>('a', 'z')(rng));
+    };
+    Framebuffer fb(size.width, size.height);
+    PutReference reference(size.width, size.height);
+    for (int op = 0; op < 3000; ++op) {
+      int x = coord(size.width);
+      int y = coord(size.height);
+      Rect rect{x, y, length(), length()};
+      char c = glyph();
+      int kind = std::uniform_int_distribution<int>(0, 4)(rng);
+      switch (kind) {
+        case 0: {
+          std::string text(static_cast<size_t>(std::max(0, length())), c);
+          for (char& ch : text) ch = glyph();
+          fb.DrawText(x, y, text);
+          reference.DrawText(x, y, text);
+          break;
+        }
+        case 1:
+          fb.DrawHLine(x, y, rect.width, c);
+          reference.DrawHLine(x, y, rect.width, c);
+          break;
+        case 2:
+          fb.DrawVLine(x, y, rect.height, c);
+          reference.DrawVLine(x, y, rect.height, c);
+          break;
+        case 3:
+          fb.FillRect(rect, c);
+          reference.FillRect(rect, c);
+          break;
+        default:
+          fb.DrawBox(rect);
+          reference.DrawBox(rect);
+          break;
+      }
+      ASSERT_EQ(fb.ToString(), reference.fb().ToString())
+          << "size " << size.width << "x" << size.height << " op " << op
+          << " kind " << kind << " at " << rect.ToString();
+    }
+  }
 }
 
 // --- Widgets -----------------------------------------------------------------------
